@@ -1,4 +1,5 @@
-// Revised simplex engine: the production hot path behind the Simplex facade.
+// Revised simplex engine behind the Simplex facade, and the facade's
+// forwarders.
 //
 // Instead of maintaining the dense tableau B⁻¹A across pivots (O(m·(n+m))
 // per pivot), this engine keeps the constraint matrix in the shared sparse
@@ -9,18 +10,14 @@
 //   * a sparse pivot-row scatter over the CSR view for the reduced-cost and
 //     devex weight updates.
 // Pricing is devex (reference weights reset per primal loop) by default,
-// with Dantzig selectable via Options::pricing for pivot-selection parity
-// with the reference engine (branch-and-bound asks for it — the tree shape
-// follows the LP vertex), and the same Bland anti-cycling fallback and
-// trigger policy as the tableau engine.
+// with Dantzig selectable via Options::pricing (branch-and-bound asks for
+// it — the tree shape follows the LP vertex), and a Bland anti-cycling
+// fallback after a run of degenerate pivots.
 //
-// The external contract — phase-1 artificial handling, warm-start
-// dual_resolve semantics, certificate extraction, counter meanings — is
-// deliberately bit-compatible in STRUCTURE with simplex_tableau.cpp (same
-// column layout, same status transitions, same tolerance policy), so the two
-// engines are differential-testable: equal statuses and objectives, and both
-// certificates pass the exact checkers. Pivot ORDER differs (devex vs
-// Dantzig), so bases may legitimately differ between engines.
+// Every optimal or infeasible verdict can be exported as a certificate
+// (extract_certificate) and re-proved in floating point (analysis/
+// certify_lp) or exactly (analysis/exact); those checkers, not a second
+// engine, are the reference this one is tested against.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -29,10 +26,11 @@
 #include "common/stats.hpp"
 #include "lp/basis_lu.hpp"
 #include "lp/certificate.hpp"
-#include "lp/engine_iface.hpp"
+#include "lp/simplex.hpp"
 #include "lp/sparse.hpp"
 
-namespace nd::lp::detail {
+namespace nd::lp {
+namespace detail {
 
 namespace {
 constexpr double kPivotTol = 1e-9;
@@ -43,37 +41,36 @@ bool past_deadline(const std::chrono::steady_clock::time_point& deadline, int it
   if (iters % 128 != 1) return false;  // checks on iteration 1, 129, 257, ...
   return std::chrono::steady_clock::now() > deadline;
 }
+}  // namespace
 
-class RevisedEngine final : public EngineImpl {
+class RevisedEngine {
  public:
   RevisedEngine(const Problem& p, Simplex::Options opt);
 
-  SolveStatus solve() override;
-  SolveStatus dual_resolve() override;
-  void set_bound(int j, double lo, double hi) override;
-  void set_deadline(std::chrono::steady_clock::time_point t) override { opt_.deadline = t; }
+  SolveStatus solve();
+  SolveStatus dual_resolve();
+  void set_bound(int j, double lo, double hi);
+  void set_deadline(std::chrono::steady_clock::time_point t) { opt_.deadline = t; }
 
-  [[nodiscard]] double bound_lo(int j) const override { return lo_[static_cast<std::size_t>(j)]; }
-  [[nodiscard]] double bound_hi(int j) const override { return hi_[static_cast<std::size_t>(j)]; }
-  [[nodiscard]] double objective() const override;
-  [[nodiscard]] std::vector<double> solution() const override;
-  [[nodiscard]] double value(int j) const override {
+  [[nodiscard]] double bound_lo(int j) const { return lo_[static_cast<std::size_t>(j)]; }
+  [[nodiscard]] double bound_hi(int j) const { return hi_[static_cast<std::size_t>(j)]; }
+  [[nodiscard]] double objective() const;
+  [[nodiscard]] std::vector<double> solution() const;
+  [[nodiscard]] double value(int j) const {
     ensure_values();
     return xval_[static_cast<std::size_t>(j)];
   }
-  [[nodiscard]] double reduced_cost(int j) const override { return d_[static_cast<std::size_t>(j)]; }
-  [[nodiscard]] VarStatus var_status(int j) const override { return stat_[static_cast<std::size_t>(j)]; }
-  [[nodiscard]] int iterations() const override { return total_iters_; }
-  [[nodiscard]] const Simplex::Counters& counters() const override { return counters_; }
-  [[nodiscard]] long long tableau_bytes() const override {
-    return a_.bytes() + at_.bytes() + lu_.bytes();
-  }
-  [[nodiscard]] SolveStatus last_status() const override { return last_status_; }
-  [[nodiscard]] Certificate extract_certificate() const override;
+  [[nodiscard]] double reduced_cost(int j) const { return d_[static_cast<std::size_t>(j)]; }
+  [[nodiscard]] VarStatus var_status(int j) const { return stat_[static_cast<std::size_t>(j)]; }
+  [[nodiscard]] int iterations() const { return total_iters_; }
+  [[nodiscard]] const Simplex::Counters& counters() const { return counters_; }
+  [[nodiscard]] long long bytes() const { return a_.bytes() + at_.bytes() + lu_.bytes(); }
+  [[nodiscard]] SolveStatus last_status() const { return last_status_; }
+  [[nodiscard]] Certificate extract_certificate() const;
 
  private:
-  // Column layout (shared with the tableau engine): [0, n) structural,
-  // [n, n+m) slack, [n+m, n+2m) artificial.
+  // Column layout: [0, n) structural, [n, n+m) slack, [n+m, n+2m)
+  // artificial.
   [[nodiscard]] int slack_col(int r) const { return n_ + r; }
   [[nodiscard]] int art_col(int r) const { return n_ + m_ + r; }
 
@@ -122,7 +119,22 @@ class RevisedEngine final : public EngineImpl {
   /// Max relative row residual of the current full solution vector.
   [[nodiscard]] double residual() const;
 
-  [[nodiscard]] bool is_nonbasic_eligible_primal(int j, double* dir) const;
+  // Defined in the class so it inlines into the per-column pricing loop,
+  // its only caller.
+  [[nodiscard]] bool is_nonbasic_eligible_primal(int j, double* dir) const {
+    const auto ju = static_cast<std::size_t>(j);
+    if (stat_[ju] == VarStatus::kBasic) return false;
+    if (hi_[ju] - lo_[ju] <= 0.0) return false;  // fixed
+    if (stat_[ju] == VarStatus::kAtLower && d_[ju] < -opt_.tol) {
+      *dir = 1.0;
+      return true;
+    }
+    if (stat_[ju] == VarStatus::kAtUpper && d_[ju] > opt_.tol) {
+      *dir = -1.0;
+      return true;
+    }
+    return false;
+  }
 
 #if ND_INVARIANTS_ENABLED
   [[nodiscard]] double phase_objective() const;
@@ -426,8 +438,8 @@ RevisedEngine::PivotOutcome RevisedEngine::pivot(int r, int q, double leave_targ
     // Hysteresis: the exchange was already CHOSEN by the ratio test (pivot
     // above kPivotTol in the FTRAN image), so the fresh LU only has to be
     // usable, not comfortable — the envelope-margin floor rejects true
-    // singularity and nothing else. A marginal basis here is what the
-    // tableau engine would have pivoted into anyway; the strict kPivotTol
+    // singularity and nothing else. A marginal basis here is one the ratio
+    // test has already judged pivotable; the strict kPivotTol
     // floor stays on the STANDING-basis refactorizations, where failure has
     // a cheap cold-solve fallback instead of a pricing dead end.
     if (fresh.factorize(a_, basis_)) {
@@ -520,21 +532,6 @@ RevisedEngine::PivotOutcome RevisedEngine::pivot(int r, int q, double leave_targ
   return PivotOutcome::kOk;
 }
 
-bool RevisedEngine::is_nonbasic_eligible_primal(int j, double* dir) const {
-  const auto ju = static_cast<std::size_t>(j);
-  if (stat_[ju] == VarStatus::kBasic) return false;
-  if (hi_[ju] - lo_[ju] <= 0.0) return false;  // fixed
-  if (stat_[ju] == VarStatus::kAtLower && d_[ju] < -opt_.tol) {
-    *dir = 1.0;
-    return true;
-  }
-  if (stat_[ju] == VarStatus::kAtUpper && d_[ju] > opt_.tol) {
-    *dir = -1.0;
-    return true;
-  }
-  return false;
-}
-
 SolveStatus RevisedEngine::primal_loop() {
   int iters = 0;
   const int bland_after_iters = std::max(500, 4 * m_);
@@ -607,11 +604,10 @@ SolveStatus RevisedEngine::primal_loop() {
     ++counters_.ftrans;
 
     // Ratio test on w: minimum limit, with near-ties (1e-12 window) broken
-    // by the largest pivot magnitude. Selection semantics MATCH the tableau
-    // engine pivot for pivot — branch-and-bound branches on the LP vertex,
-    // so a different (equally optimal) vertex changes the tree shape; keeping
-    // the rules identical keeps the engines' trees comparable. Stability for
-    // the factorization side is owned downstream: unstable exchanges are
+    // by the largest pivot magnitude. Branch-and-bound branches on the LP
+    // vertex, so any change to this rule that picks a different (equally
+    // optimal) vertex changes the tree shape. Stability for the
+    // factorization side is owned downstream: unstable exchanges are
     // rejected by the eta floor and repriced via the ban list.
     const auto qu = static_cast<std::size_t>(q);
     double tmax = hi_[qu] - lo_[qu];  // bound-flip distance (may be inf)
@@ -770,8 +766,7 @@ SolveStatus RevisedEngine::dual_loop() {
     // Pivot row r (one BTRAN + CSR scatter), then the bounded dual ratio
     // test: minimum |d/a| with near-ties (1e-12 window) broken by the
     // largest pivot; Bland mode takes the smallest-index column with a
-    // (near-)minimal ratio. Selection semantics MATCH the tableau engine —
-    // same rationale as the primal ratio test above.
+    // (near-)minimal ratio. Same rationale as the primal ratio test above.
     compute_pivot_row(r, &rho, &alpha);
     int q = -1;
     double best_ratio = 0.0;
@@ -955,8 +950,8 @@ SolveStatus RevisedEngine::dual_resolve() {
     // A warm infeasibility verdict rides on the drifted factorization that
     // produced it: with accumulated roundoff the entering-column test can
     // fail spuriously and declare a FEASIBLE node LP infeasible (the exact
-    // audit replay caught branch-and-bound doing exactly that under the
-    // tableau engine). Infeasibility is a pruning decision, so re-derive it
+    // audit replay caught branch-and-bound doing exactly that on a drifted
+    // warm basis). Infeasibility is a pruning decision, so re-derive it
     // from scratch before reporting it.
     s = solve();
   }
@@ -1012,7 +1007,7 @@ Certificate RevisedEngine::extract_certificate() const {
   Certificate cert;
   cert.status = last_status_;
   if (last_status_ == SolveStatus::kOptimal) {
-    // y = B⁻ᵀ c_B: one BTRAN instead of the tableau read-off.
+    // y = B⁻ᵀ c_B: one BTRAN.
     std::vector<double> y(static_cast<std::size_t>(m_));
     for (int r = 0; r < m_; ++r) {
       y[static_cast<std::size_t>(r)] =
@@ -1061,11 +1056,34 @@ Certificate RevisedEngine::extract_certificate() const {
   return cert;
 }
 
-}  // namespace
+}  // namespace detail
 
-std::unique_ptr<EngineImpl> make_revised_engine(const Problem& p,
-                                                const Simplex::Options& opt) {
-  return std::make_unique<RevisedEngine>(p, opt);
-}
+Simplex::Simplex(const Problem& p) : Simplex(p, Options()) {}
 
-}  // namespace nd::lp::detail
+Simplex::Simplex(const Problem& p, Options opt)
+    : impl_(std::make_unique<detail::RevisedEngine>(p, opt)) {}
+
+Simplex::Simplex(Simplex&&) noexcept = default;
+Simplex& Simplex::operator=(Simplex&&) noexcept = default;
+Simplex::~Simplex() = default;
+
+void Simplex::set_deadline(std::chrono::steady_clock::time_point t) { impl_->set_deadline(t); }
+
+SolveStatus Simplex::solve() { return impl_->solve(); }
+SolveStatus Simplex::dual_resolve() { return impl_->dual_resolve(); }
+void Simplex::set_bound(int j, double lo, double hi) { impl_->set_bound(j, lo, hi); }
+
+double Simplex::bound_lo(int j) const { return impl_->bound_lo(j); }
+double Simplex::bound_hi(int j) const { return impl_->bound_hi(j); }
+double Simplex::objective() const { return impl_->objective(); }
+std::vector<double> Simplex::solution() const { return impl_->solution(); }
+double Simplex::value(int j) const { return impl_->value(j); }
+double Simplex::reduced_cost(int j) const { return impl_->reduced_cost(j); }
+VarStatus Simplex::var_status(int j) const { return impl_->var_status(j); }
+int Simplex::iterations() const { return impl_->iterations(); }
+const Simplex::Counters& Simplex::counters() const { return impl_->counters(); }
+long long Simplex::bytes() const { return impl_->bytes(); }
+SolveStatus Simplex::last_status() const { return impl_->last_status(); }
+Certificate Simplex::extract_certificate() const { return impl_->extract_certificate(); }
+
+}  // namespace nd::lp

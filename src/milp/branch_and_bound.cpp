@@ -138,12 +138,12 @@ MipResult solve(const Model& model, const MipOptions& opt) {
   // degenerate episodes fail fast into the rebuild/cold-solve fallback
   // instead of burning the node budget.
   lp_opt.max_iters = 50000;
-  lp_opt.engine = opt.lp_engine;
   // Branching decisions read the node LP's VERTEX, not just its objective:
   // on a degenerate optimal face, which vertex the engine lands on decides
-  // which variable is fractional and hence the whole tree shape. Dantzig
-  // pricing reproduces the reference (tableau) engine's vertex selection,
-  // keeping trees comparable — and small — under either engine.
+  // which variable is fractional and hence the whole tree shape. Dantzig's
+  // weight-free rule picks that vertex from the basis alone; devex lands on
+  // other (equally optimal) vertices and can reshape the tree by orders of
+  // magnitude, so the proved-optimum trees and their baselines are Dantzig's.
   lp_opt.pricing = lp::Pricing::kDantzig;
   lp::Simplex engine(model.lp(), lp_opt);
   engine.set_deadline(std::chrono::steady_clock::now() +

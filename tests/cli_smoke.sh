@@ -124,6 +124,22 @@ set +e
 "$CLI" bench frobnicate a b 2>/dev/null; test "$?" = "2"
 set -e
 
+# Unknown flags are usage errors (exit 2) naming the flag: a retired flag
+# or a typo must not silently run with defaults.
+set +e
+"$CLI" solve --problem "$DIR/prob.json" --lp-engine tableau 2>"$DIR/flag_err.txt"
+rc=$?
+set -e
+test "$rc" = "2"
+grep -q -- "--lp-engine" "$DIR/flag_err.txt"
+set +e
+"$CLI" solve --problem "$DIR/prob.json" --time-limt 1 2>"$DIR/flag_err.txt"
+rc=$?
+set -e
+test "$rc" = "2"
+grep -q -- "--time-limt" "$DIR/flag_err.txt"
+grep -q -- "--time-limit" "$DIR/flag_err.txt"
+
 # Error paths: bad file and usage errors must not return success.
 if "$CLI" validate --problem /nonexistent.json --solution "$DIR/sol.json" 2>/dev/null; then
   echo "expected failure on missing problem file" >&2

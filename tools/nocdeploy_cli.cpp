@@ -38,7 +38,8 @@
 // `profile` exercises every subsystem on one instance and implies --stats.
 //
 // Exit status: 0 on success/valid, 1 on infeasible/invalid/lint-errors,
-// 2 on usage error.
+// 2 on usage error — including any flag the command does not read.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -96,16 +97,53 @@ struct Args {
   [[nodiscard]] bool presolve_on() const { return get("presolve", "on") != "off"; }
 };
 
-/// `--lp-engine tableau|revised`, default revised. Returns false (after
-/// printing a usage error) on an unknown engine name.
-bool parse_lp_engine(const Args& a, lp::EngineKind* out) {
-  const std::string name = a.get("lp-engine", lp::to_string(lp::EngineKind::kRevised));
-  if (!lp::engine_kind_from_string(name, out)) {
-    std::fprintf(stderr, "error: unknown --lp-engine '%s' (expected tableau|revised)\n",
-                 name.c_str());
-    return false;
+/// Flags every command accepts (the telemetry session in main).
+const std::vector<std::string> kGlobalFlags = {"stats", "trace", "log-json"};
+
+/// The flags each command reads (without the leading dashes). Anything else
+/// is a usage error, so a typo'd or retired flag fails loudly instead of
+/// being ignored.
+const std::map<std::string, std::vector<std::string>> kCommandFlags = {
+    {"gen", {"tasks", "rows", "cols", "alpha", "r-th", "lambda", "seed", "o"}},
+    {"solve",
+     {"problem", "method", "seed", "iters", "time-limit", "threads", "presolve", "o",
+      "gantt", "dot"}},
+    {"validate", {"problem", "solution"}},
+    {"simulate", {"problem", "solution", "trials"}},
+    {"lint", {"problem", "model", "presolve-report", "json"}},
+    {"certify",
+     {"problem", "method", "solution", "certificate", "audit", "exact", "exact-lp-budget",
+      "time-limit", "threads", "presolve", "emit-certificate", "emit-audit", "o", "json"}},
+    {"verify", {"problem", "solution", "claimed-be", "no-contention", "json"}},
+    {"crosscheck",
+     {"seeds", "first-seed", "tasks", "rows", "cols", "time-limit", "threads", "presolve",
+      "mesh-variation", "no-sim", "preset", "json"}},
+    {"sweep",
+     {"seeds", "first-seed", "threads", "tasks", "rows", "cols", "time-limit", "preset", "o",
+      "json", "append-history"}},
+    {"bench", {"sigma", "rel-floor", "abs-floor", "hist-rel", "json"}},
+    {"profile",
+     {"problem", "tasks", "rows", "cols", "alpha", "r-th", "lambda", "seed", "iters",
+      "time-limit", "threads", "trials"}},
+};
+
+/// True when `command` reads `flag` (spelled `token` on the command line).
+/// Otherwise prints the accepted list to stderr. Unknown commands accept
+/// everything; run_command rejects them.
+bool flag_accepted(const std::string& command, const std::string& flag, const char* token) {
+  const auto it = kCommandFlags.find(command);
+  if (it == kCommandFlags.end()) return true;
+  const auto known = [&flag](const std::vector<std::string>& list) {
+    return std::find(list.begin(), list.end(), flag) != list.end();
+  };
+  if (known(it->second) || known(kGlobalFlags)) return true;
+  std::string accepted;
+  for (const auto* list : {&it->second, &kGlobalFlags}) {
+    for (const std::string& f : *list) accepted += (f == "o" ? " -" : " --") + f;
   }
-  return true;
+  std::fprintf(stderr, "error: unknown flag '%s' for '%s'; accepted:%s\n", token,
+               command.c_str(), accepted.c_str());
+  return false;
 }
 
 int usage() {
@@ -114,15 +152,15 @@ int usage() {
                "  gen      --tasks N --rows R --cols C --alpha A --r-th X --lambda L\n"
                "           --seed S -o problem.json\n"
                "  solve    --problem P.json --method heuristic|annealing|optimal\n"
-               "           [--time-limit SEC] [--presolve on|off]\n"
-               "           [--lp-engine tableau|revised] [-o solution.json]\n"
+               "           [--time-limit SEC] [--threads T] [--presolve on|off]\n"
+               "           [--seed S] [--iters N] [-o solution.json]\n"
                "           [--gantt] [--dot FILE]\n"
                "  validate --problem P.json --solution S.json\n"
                "  simulate --problem P.json --solution S.json [--trials N]\n"
                "  lint     --problem P.json [--model] [--presolve-report] [--json]\n"
                "  certify  --problem P.json --method optimal|heuristic [--exact]\n"
-               "           [--time-limit SEC] [--presolve on|off]\n"
-               "           [--lp-engine tableau|revised]\n"
+               "           [--time-limit SEC] [--threads T] [--presolve on|off]\n"
+               "           [--exact-lp-budget SEC]\n"
                "           [--emit-certificate F] [--emit-audit F]\n"
                "           [-o solution.json] [--json]\n"
                "  certify  --problem P.json --solution S.json\n"
@@ -132,16 +170,16 @@ int usage() {
                "  crosscheck [--seeds N] [--first-seed S] [--tasks N] [--rows R]\n"
                "           [--cols C] [--time-limit SEC] [--threads T]\n"
                "           [--presolve on|off] [--mesh-variation V] [--no-sim]\n"
-               "           [--preset stress] [--lp-engine tableau|revised] [--json]\n"
+               "           [--preset stress] [--json]\n"
                "  sweep    [--seeds N] [--first-seed S] [--threads T] [--tasks N]\n"
                "           [--rows R] [--cols C] [--time-limit SEC]\n"
-               "           [--preset stress] [--lp-engine tableau|revised]\n"
+               "           [--preset stress]\n"
                "           [-o BENCH_sweep.json] [--json] [--append-history FILE]\n"
                "  bench diff OLD.json NEW.json [--sigma X] [--rel-floor X]\n"
                "           [--abs-floor SEC] [--hist-rel X] [--json]\n"
                "  profile  [--problem P.json] [--tasks N] [--rows R] [--cols C]\n"
                "           [--seed S] [--iters N] [--time-limit SEC] [--threads T]\n"
-               "           [--lp-engine tableau|revised]\n"
+               "           [--alpha A] [--r-th X] [--lambda L] [--trials N]\n"
                "global telemetry flags: [--stats] [--trace FILE] [--log-json FILE]\n");
   return 2;
 }
@@ -227,7 +265,6 @@ int cmd_solve(const Args& a) {
     mopt.time_limit_s = a.num("time-limit", 60.0);
     mopt.num_threads = static_cast<int>(a.num("threads", 1));
     mopt.presolve = a.presolve_on();
-    if (!parse_lp_engine(a, &mopt.lp_engine)) return 2;
     if (warm.feasible) {
       warm_point = f.encode(warm.solution);
       mopt.warm_start = &warm_point;
@@ -434,7 +471,6 @@ int cmd_certify(const Args& a) {
     milp::MipOptions mopt;
     mopt.time_limit_s = a.num("time-limit", 60.0);
     mopt.num_threads = static_cast<int>(a.num("threads", 1));
-    if (!parse_lp_engine(a, &mopt.lp_engine)) return 2;
     if (warm.feasible) {
       warm_point = f.encode(warm.solution);
       mopt.warm_start = &warm_point;
@@ -539,7 +575,6 @@ int cmd_crosscheck(const Args& a) {
   opt.num_threads = static_cast<int>(a.num("threads", opt.num_threads));
   opt.mesh_variation = a.num("mesh-variation", opt.mesh_variation);
   opt.presolve = a.presolve_on();
-  if (!parse_lp_engine(a, &opt.lp_engine)) return 2;
   opt.run_simulation = a.flags.count("no-sim") == 0;
   opt.verbose = a.flags.count("json") == 0;
   const auto first = static_cast<std::uint64_t>(a.num("first-seed", 1));
@@ -570,7 +605,6 @@ int cmd_sweep(const Args& a) {
   opt.scale.num_tasks = static_cast<int>(a.num("tasks", opt.scale.num_tasks));
   opt.scale.rows = static_cast<int>(a.num("rows", opt.scale.rows));
   opt.scale.cols = static_cast<int>(a.num("cols", opt.scale.cols));
-  if (!parse_lp_engine(a, &opt.lp_engine)) return 2;
   opt.verbose = a.flags.count("json") == 0;
   const auto res = bench::run_sweep(opt);
   const auto doc = res.to_json(opt);
@@ -693,7 +727,6 @@ int cmd_profile(const Args& a) {
   milp::MipOptions mopt;
   mopt.time_limit_s = a.num("time-limit", 20.0);
   mopt.num_threads = static_cast<int>(a.num("threads", 1));
-  if (!parse_lp_engine(a, &mopt.lp_engine)) return 2;
   const auto res = model::solve_optimal(*p, {}, mopt, heur.feasible ? &heur.solution : nullptr);
   std::printf("profile: MILP %s, bound %.6f, %lld nodes, %d LP iters in %.3f s\n",
               to_string(res.mip.status), res.mip.best_bound,
@@ -772,6 +805,7 @@ int main(int argc, char** argv) {
     } else {
       return usage();
     }
+    if (!flag_accepted(a.command, key, argv[i])) return 2;
     if (i + 1 < argc && argv[i + 1][0] != '-') {
       a.flags[key] = argv[++i];
     } else {
