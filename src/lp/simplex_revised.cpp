@@ -822,8 +822,16 @@ SolveStatus RevisedEngine::dual_loop() {
     ++counters_.ftrans;
     if (std::abs(w[static_cast<std::size_t>(r)]) <= kPivotTol) {
       // The column was selected on the BTRAN pivot row (alpha[q]) but the
-      // FTRAN image disagrees — the eta file has drifted. Refactorize and
-      // retry the iteration against the fresh factors.
+      // FTRAN image disagrees. Through an eta chain that is drift:
+      // refactorize and retry the iteration against the fresh factors. On
+      // factors that are already fresh a refactorization would reproduce the
+      // same (r, q), so refuse q the way pivot() refuses a singular exchange;
+      // if only refused columns remain, the kIterLimit below hands the
+      // verdict to the dual_resolve fallback chain.
+      if (lu_.eta_count() == 0) {
+        banned[static_cast<std::size_t>(q)] = 1;
+        continue;
+      }
       if (!refactorize()) {
         return SolveStatus::kIterLimit;
       }

@@ -1,10 +1,11 @@
 // Branch-and-bound MILP solver.
 //
 // Strategy: depth-first with plunging (the child nearest the fractional LP
-// value is explored first), most-fractional branching, a single simplex
-// engine reused across the whole tree (branching = bound change + dual
-// re-solve), warm-start incumbents, and wall-clock/node limits. This stands
-// in for the commercial solver (Gurobi) used in the paper; see DESIGN.md.
+// value is explored first), most-fractional branching, one simplex engine
+// per worker reused along its walk (branching = bound change + dual
+// re-solve), warm-start incumbents, and wall-clock/node limits. One driver
+// (parallel_bnb.cpp) serves every worker count. This stands in for the
+// commercial solver (Gurobi) used in the paper; see DESIGN.md.
 #pragma once
 
 #include <cstdint>
@@ -34,13 +35,13 @@ struct MipOptions {
   double abs_gap = 1e-9;
   double rel_gap = 1e-6;
   bool verbose = false;
-  /// Worker threads for the tree search. 1 (default) runs the sequential
-  /// depth-first solver; >1 runs the work-sharing parallel solver
-  /// (parallel_bnb.cpp): workers pull open subtrees from a shared best-bound
-  /// queue, share the incumbent, and write per-worker audit shards that are
-  /// merged by node id at the end. 0 means ThreadPool::default_threads().
-  /// The proved optimum is identical for every thread count; the tree shape
-  /// (and therefore the audit log) is not, but every log certifies.
+  /// Workers for the tree search (parallel_bnb.cpp). Worker 0 runs on the
+  /// calling thread; N > 1 adds a pool of N - 1 threads. Workers pull open
+  /// subtrees from a shared best-bound queue, share the incumbent, and write
+  /// per-worker audit shards that are merged by node id at the end; 1
+  /// (default) builds no pool. 0 means ThreadPool::default_threads(). The
+  /// proved optimum is identical for every worker count; the tree shape (and
+  /// therefore the audit log) is not, but every log certifies.
   int num_threads = 1;
   /// Optional integer-feasible starting point (e.g. from the heuristic);
   /// silently ignored if it fails feasibility validation.

@@ -10,12 +10,12 @@
 //
 // `detail::solve_presolved` is the front half of milp::solve when
 // MipOptions::presolve is on: presolve once at the root, search the REDUCED
-// model (sequential or parallel — the thread dispatch happens inside the
-// inner solve), then lift the result and the audit log back to the original
-// space. The audit keeps every number in reduced space and carries the
-// reduction log plus the objective shift, so analysis/certify_bnb can
-// independently re-prove the reductions, rebuild the reduced model with the
-// same mechanical code, and replay the tree against it.
+// model (at any worker count — the inner solve starts the workers), then
+// lift the result and the audit log back to the original space. The audit
+// keeps every number in reduced space and carries the reduction log plus the
+// objective shift, so analysis/certify_bnb can independently re-prove the
+// reductions, rebuild the reduced model with the same mechanical code, and
+// replay the tree against it.
 #pragma once
 
 #include "lp/presolve.hpp"

@@ -132,6 +132,7 @@ rc=$?
 set -e
 test "$rc" = "2"
 grep -q -- "--lp-engine" "$DIR/flag_err.txt"
+# A typo within edit distance 2 of an accepted flag also gets a hint.
 set +e
 "$CLI" solve --problem "$DIR/prob.json" --time-limt 1 2>"$DIR/flag_err.txt"
 rc=$?
@@ -139,6 +140,7 @@ set -e
 test "$rc" = "2"
 grep -q -- "--time-limt" "$DIR/flag_err.txt"
 grep -q -- "--time-limit" "$DIR/flag_err.txt"
+grep -q -- "did you mean --time-limit?" "$DIR/flag_err.txt"
 
 # Error paths: bad file and usage errors must not return success.
 if "$CLI" validate --problem /nonexistent.json --solution "$DIR/sol.json" 2>/dev/null; then

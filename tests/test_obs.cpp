@@ -282,7 +282,7 @@ TEST(Obs, ParallelBnbBusyTimeWithinWallClock) {
   EXPECT_EQ(per_worker, busy_total);
   // busy + idle covers each worker's lifetime, so idle is present too.
   EXPECT_EQ(p.counters.count("bnb.par.idle_ns"), 1u);
-  // Node dispositions flow into the same names the sequential solver uses.
+  // Node dispositions flow into the same names at every worker count.
   EXPECT_EQ(p.counters.at("bnb.nodes"), res.nodes);
 }
 
@@ -299,6 +299,12 @@ TEST(Obs, SequentialBnbCountersMatchResult) {
   EXPECT_EQ(p.counters.at("lp.iterations"), res.lp_iterations);
   ASSERT_EQ(p.timers.count("bnb.solve"), 1u);
   EXPECT_EQ(p.timers.at("bnb.solve").count, 1);
+  // One worker runs on the calling thread and builds no pool, so there are
+  // no pool facts to report.
+  for (const auto& [name, v] : p.counters) {
+    EXPECT_NE(name.rfind("bnb.par.", 0), 0u) << name;
+  }
+  EXPECT_EQ(p.timers.count("bnb.par.subtree"), 0u);
 }
 
 TEST(Obs, TelemetryOptOutKeepsSolveOutOfProfile) {

@@ -1,6 +1,6 @@
-// Tests for the work-sharing parallel branch-and-bound (milp/parallel_bnb)
-// and the audit-shard merge (milp::merge_audit_shards,
-// analysis::certify_bnb_shards).
+// Tests for the branch-and-bound tree search (milp/parallel_bnb) at 1, 2 and
+// 4 workers, the pinned 1-worker walk, and the audit-shard merge
+// (milp::merge_audit_shards, analysis::certify_bnb_shards).
 //
 // The determinism contract under test: for every thread count the solver
 // proves the SAME optimal objective, and every audit log it emits — whatever
@@ -9,17 +9,23 @@
 // itself validated against brute force in test_milp.cpp.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/certify_bnb.hpp"
 #include "analysis/diagnostics.hpp"
 #include "common/prng.hpp"
+#include "heuristic/phases.hpp"
 #include "milp/audit.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "milp/model.hpp"
+#include "model/formulation.hpp"
+#include "obs/obs.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -42,7 +48,7 @@ Model staircase_model() {
 }
 
 /// Seeded random binary program with a handful of mixed-sense rows — the
-/// same family the sequential solver is brute-force-validated on.
+/// same family the 1-worker solve is brute-force-validated on.
 Model random_binary_model(int seed) {
   nd::Prng g(static_cast<std::uint64_t>(seed) * 104729 + 17);
   const int n = static_cast<int>(g.uniform_int(6, 12));
@@ -121,7 +127,7 @@ TEST_P(ParallelBnbSeeds, SameProvedOptimumAndCertifiableAudit) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelBnbSeeds, ::testing::Range(0, 5));
 
 // ---------------------------------------------------------------------------
-// Feature parity with the sequential solver on its optional hooks.
+// The optional hooks at several workers.
 
 TEST(ParallelBnb, WarmStartSeedsTheSharedIncumbent) {
   const Model m = staircase_model();
@@ -209,6 +215,92 @@ TEST(ParallelBnb, ThreadCountZeroUsesDefaultAndSolves) {
   EXPECT_NEAR(res.obj, -7.0, 1e-6);
   const Report rep = nd::analysis::certify_bnb(m, audit);
   EXPECT_EQ(rep.num_errors(), 0) << rep.to_table();
+}
+
+// ---------------------------------------------------------------------------
+// The 1-worker walk, pinned. A single worker takes every node after the root
+// warm, walking the tree depth-first with one dual re-solve per node; these
+// figures are that walk's node count, LP iterations and per-disposition
+// tallies, so any change to the node order, to the warm/cold choice or to
+// the engine's bound-change sequence shows up here as an exact mismatch.
+
+struct Walk {
+  /// "status nodes lp_iterations | branched bound-pruned infeasible integral
+  /// completion-closed parent-bound-skipped"
+  std::string tree;
+  /// "cold_solves warm_resolves" of the engine (telemetry builds only).
+  std::string lp_calls;
+};
+
+Walk walk_of(const Model& m, MipOptions opt = {}) {
+  const bool observing = nd::obs::start();
+  const SolveOut out = solve_with_threads(m, 1, std::move(opt));
+  Walk w;
+  if (observing) {
+    const nd::obs::Profile p = nd::obs::stop();
+    const auto count = [&p](const char* name) {
+      const auto it = p.counters.find(name);
+      return std::to_string(it == p.counters.end() ? 0 : it->second);
+    };
+    w.lp_calls = count("bnb.cold_solves") + " " + count("bnb.warm_resolves");
+  }
+  std::array<int, 8> disp{};
+  for (const auto& n : out.audit.nodes) ++disp[static_cast<std::size_t>(n.disp)];
+  using D = nd::milp::NodeDisp;
+  const auto at = [&disp](D d) { return std::to_string(disp[static_cast<std::size_t>(d)]); };
+  w.tree = std::string(nd::milp::to_string(out.res.status)) + " " +
+           std::to_string(out.res.nodes) + " " + std::to_string(out.res.lp_iterations) + " | " +
+           at(D::kBranched) + " " + at(D::kPrunedBound) + " " + at(D::kPrunedInfeasible) + " " +
+           at(D::kIntegral) + " " + at(D::kCompletionClosed) + " " + at(D::kSkippedParentBound);
+  return w;
+}
+
+void expect_walk(const Walk& w, const char* tree, const char* lp_calls) {
+  EXPECT_EQ(w.tree, tree);
+  if (nd::obs::compiled_in()) {
+    EXPECT_EQ(w.lp_calls, lp_calls);
+  }
+}
+
+TEST(BnbWalkPin, Staircase) {
+  expect_walk(walk_of(staircase_model()), "optimal 19 16 | 9 5 4 1 0 0", "5 15");
+}
+
+TEST(BnbWalkPin, RandomBinarySeeds) {
+  // Without root presolve, so every seed keeps a tree to walk.
+  struct Pin {
+    int seed;
+    const char* tree;
+    const char* lp_calls;
+  };
+  const std::vector<Pin> pinned = {
+      {1, "optimal 5 8 | 2 0 2 1 0 0", "3 3"},
+      {2, "optimal 21 73 | 10 4 5 2 0 0", "10 15"},
+      {3, "infeasible 53 160 | 26 0 27 0 0 0", "37 26"},
+      {8, "infeasible 7 24 | 3 0 4 0 0 0", "5 3"},
+      {10, "optimal 11 55 | 5 0 4 2 0 0", "8 7"},
+      {11, "optimal 9 22 | 4 0 2 3 0 0", "5 6"},
+  };
+  MipOptions opt;
+  opt.presolve = false;
+  for (const Pin& pin : pinned) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed));
+    expect_walk(walk_of(random_binary_model(pin.seed), opt), pin.tree, pin.lp_calls);
+  }
+}
+
+TEST(BnbWalkPin, Deployment3Task2x2) {
+  // Heuristic warm start, so the root's reduced-cost fixing and parent-bound
+  // skips take part; a node budget keeps the run short.
+  const auto p = nd::test::tiny_problem({.num_tasks = 3});
+  const auto h = nd::heuristic::solve_heuristic(*p);
+  ASSERT_TRUE(h.feasible) << h.why;
+  const nd::model::Formulation f(*p);
+  const std::vector<double> warm = f.encode(h.solution);
+  MipOptions opt;
+  opt.warm_start = &warm;
+  opt.node_limit = 150;
+  expect_walk(walk_of(f.model(), opt), "feasible 151 14503 | 81 67 1 1 0 1", "15 149");
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@
 
 #include "analysis/certify_lp.hpp"
 #include "analysis/exact/certify_lp_exact.hpp"
+#include "analysis/presolve/instance_presolve.hpp"
 #include "common/prng.hpp"
+#include "deploy/problem.hpp"
+#include "heuristic/phases.hpp"
 #include "lp/basis_lu.hpp"
 #include "lp/certificate.hpp"
 #include "lp/problem.hpp"
@@ -23,6 +26,9 @@
 #include "lp/sparse.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "milp/model.hpp"
+#include "model/formulation.hpp"
+#include "obs/obs.hpp"
+#include "task/generator.hpp"
 
 namespace {
 
@@ -435,6 +441,53 @@ TEST(MilpOracle, OptimumMatchesBruteForceAcrossThreadCounts) {
           << "seed " << seed << " threads " << threads;
     }
   }
+}
+
+// The dual loop's FTRAN/BTRAN disagreement retry once refactorized on every
+// hit, fresh factors included, where the refactorization reproduces the same
+// (r, q): one LU per loop iteration until Bland pricing or the iteration cap
+// broke the cycle. On this 3-task 2x2 instance (`gen --tasks 3 --rows 2
+// --cols 2 --alpha 0.8 --seed 1`, solved the way `solve --method optimal`
+// does) the first such storm falls inside the first 340 nodes, and it made
+// factorizations outnumber pivots almost threefold.
+TEST(DualLoop, RefactorizationsDoNotOutnumberPivots) {
+  if (!nd::obs::compiled_in()) GTEST_SKIP() << "needs the telemetry counters";
+  nd::Prng prng(1);
+  nd::task::GenParams gen;
+  gen.num_tasks = 3;
+  gen.width = 2;
+  nd::noc::MeshParams mesh;
+  mesh.rows = mesh.cols = 2;
+  mesh.seed = 1 + 7777;
+  nd::deploy::DeploymentProblem p(nd::task::generate_layered(prng, gen), mesh,
+                                  nd::dvfs::VfTable::typical6(),
+                                  nd::reliability::FaultParams{2e-5, 3.0}, 0.995, 1.0);
+  p.set_horizon(p.horizon_for_alpha(0.8));
+  const nd::model::Formulation f(p);
+  const auto warm = nd::heuristic::solve_heuristic(p);
+  std::vector<double> warm_point;
+  MipOptions opt;
+  opt.node_limit = 340;
+  if (warm.feasible) {
+    warm_point = f.encode(warm.solution);
+    opt.warm_start = &warm_point;
+  }
+  opt.completion = [&f](const std::vector<double>& lp_point, std::vector<double>* out) {
+    return f.complete(lp_point, out);
+  };
+  nd::analysis::InstancePresolveOptions iopt;
+  if (warm.feasible) iopt.warm = &warm_point;
+  const auto ipre = nd::analysis::instance_reductions(f, iopt);
+  opt.instance_reductions = &ipre.log;
+
+  ASSERT_TRUE(nd::obs::start());
+  const auto res = nd::milp::solve(f.model(), opt);
+  const nd::obs::Profile prof = nd::obs::stop();
+  const long long pivots = prof.counters.at("lp.pivots");
+  const long long refactors = prof.counters.at("lp.refactor.count");
+  EXPECT_EQ(res.nodes, 341);  // the budget is spent: the storm sat inside it
+  EXPECT_GT(pivots, 0);
+  EXPECT_LE(refactors, pivots);
 }
 
 }  // namespace

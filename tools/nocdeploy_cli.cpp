@@ -22,8 +22,8 @@
 //                      [--seed S] [--iters N] [--time-limit SEC] [--threads T]
 //
 // `--threads` (solve/certify with --method optimal, crosscheck) selects the
-// MILP solver's thread count: 1 = sequential, >1 = work-sharing parallel
-// branch-and-bound, 0 = machine default (honours NOCDEPLOY_THREADS).
+// branch-and-bound's worker count: 1 = the calling thread alone, >1 = adds
+// work-sharing pool workers, 0 = machine default (honours NOCDEPLOY_THREADS).
 //
 // `--presolve on|off` (solve/certify with --method optimal, crosscheck)
 // toggles the proof-carrying presolve: instance-level dominance/symmetry
@@ -127,9 +127,27 @@ const std::map<std::string, std::vector<std::string>> kCommandFlags = {
       "time-limit", "threads", "trials"}},
 };
 
+/// Levenshtein distance: single-character insertions, deletions and
+/// substitutions turning `a` into `b`.
+std::size_t edit_distance(const std::string& a, const std::string& b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diag = row[0];  // distance(a[0..i-1), b[0..j-1)) for the j below
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t up = row[j];
+      row[j] = std::min({up + 1, row[j - 1] + 1, diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diag = up;
+    }
+  }
+  return row[b.size()];
+}
+
 /// True when `command` reads `flag` (spelled `token` on the command line).
-/// Otherwise prints the accepted list to stderr. Unknown commands accept
-/// everything; run_command rejects them.
+/// Otherwise prints the accepted list to stderr, plus a hint naming the
+/// nearest accepted flag when one is within edit distance 2. Unknown
+/// commands accept everything; run_command rejects them.
 bool flag_accepted(const std::string& command, const std::string& flag, const char* token) {
   const auto it = kCommandFlags.find(command);
   if (it == kCommandFlags.end()) return true;
@@ -138,11 +156,22 @@ bool flag_accepted(const std::string& command, const std::string& flag, const ch
   };
   if (known(it->second) || known(kGlobalFlags)) return true;
   std::string accepted;
+  std::string nearest;
+  std::size_t nearest_distance = 3;  // hint only within edit distance 2
   for (const auto* list : {&it->second, &kGlobalFlags}) {
-    for (const std::string& f : *list) accepted += (f == "o" ? " -" : " --") + f;
+    for (const std::string& f : *list) {
+      const std::string spelled = (f == "o" ? "-" : "--") + f;
+      accepted += " " + spelled;
+      const std::size_t d = edit_distance(flag, f);
+      if (d < nearest_distance) {
+        nearest_distance = d;
+        nearest = spelled;
+      }
+    }
   }
   std::fprintf(stderr, "error: unknown flag '%s' for '%s'; accepted:%s\n", token,
                command.c_str(), accepted.c_str());
+  if (!nearest.empty()) std::fprintf(stderr, "did you mean %s?\n", nearest.c_str());
   return false;
 }
 
