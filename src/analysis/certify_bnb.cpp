@@ -16,6 +16,9 @@ namespace nd::analysis {
 
 namespace {
 
+/// Relative tolerance for bound/objective comparisons.
+constexpr double kTol = 1e-6;
+
 std::string fmt(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%g", v);
@@ -30,10 +33,8 @@ bool has_proved_status(const milp::AuditLog& log) {
 
 /// The tree replay proper, against the model the tree actually searched
 /// (the original model, or the presolve-reduced one).
-Report certify_bnb_tree(const milp::Model& model, const milp::AuditLog& log,
-                        const CertifyBnbOptions& opt) {
+Report certify_bnb_tree(const milp::Model& model, const milp::AuditLog& log) {
   Report rep;
-  const double tol = opt.tol;
   const auto& nodes = log.nodes;
   const int num_nodes = static_cast<int>(nodes.size());
 
@@ -72,11 +73,11 @@ Report certify_bnb_tree(const milp::Model& model, const milp::AuditLog& log,
 
   // ---- Root certificate: the tree's root bound must be independently
   // certified, not trusted.
-  rep.merge(certify_lp(model.lp(), log.root_cert, {tol}));
+  rep.merge(certify_lp(model.lp(), log.root_cert));
   const milp::AuditNode& root = nodes[0];
   if (root.lp_solved) {
     if (log.root_cert.status != lp::SolveStatus::kOptimal ||
-        std::abs(log.root_cert.obj - root.bound) > tol * (1.0 + std::abs(root.bound))) {
+        std::abs(log.root_cert.obj - root.bound) > kTol * (1.0 + std::abs(root.bound))) {
       rep.add(Severity::kError, codes::kBnbRootCert, "root",
               "root bound " + fmt(root.bound) + " is not backed by the certificate (status " +
                   lp::to_string(log.root_cert.status) + ", obj " + fmt(log.root_cert.obj) + ")");
@@ -97,7 +98,7 @@ Report certify_bnb_tree(const milp::Model& model, const milp::AuditLog& log,
       have_final ? log.obj - std::max(log.abs_gap, log.rel_gap * std::abs(log.obj))
                  : std::numeric_limits<double>::infinity();
   const auto clears_cutoff = [&](double bound) {
-    return bound >= final_cutoff - tol * (1.0 + std::abs(final_cutoff));
+    return bound >= final_cutoff - kTol * (1.0 + std::abs(final_cutoff));
   };
 
   // ---- Per-node dispositions + incumbent trajectory.
@@ -106,11 +107,11 @@ Report certify_bnb_tree(const milp::Model& model, const milp::AuditLog& log,
   for (int i = 0; i < num_nodes; ++i) {
     const milp::AuditNode& n = nodes[static_cast<std::size_t>(i)];
     const std::size_t iu = static_cast<std::size_t>(i);
-    const double eps_b = tol * (1.0 + std::abs(n.bound));
+    const double eps_b = kTol * (1.0 + std::abs(n.bound));
 
     if (n.lp_solved && n.parent >= 0) {
       const milp::AuditNode& p = nodes[static_cast<std::size_t>(n.parent)];
-      if (p.lp_solved && n.bound < p.bound - tol * (1.0 + std::abs(p.bound))) {
+      if (p.lp_solved && n.bound < p.bound - kTol * (1.0 + std::abs(p.bound))) {
         rep.add(Severity::kError, codes::kBnbBoundRegression, node_name(i),
                 "bound " + fmt(n.bound) + " beats parent " + node_name(n.parent) + "'s " +
                     fmt(p.bound) + " on a restricted domain");
@@ -165,7 +166,7 @@ Report certify_bnb_tree(const milp::Model& model, const milp::AuditLog& log,
                       " not within the gap of bound " + fmt(n.bound));
         } else if (have_final &&
                    log.obj > n.completion_obj +
-                                 tol * (1.0 + std::abs(n.completion_obj))) {
+                                 kTol * (1.0 + std::abs(n.completion_obj))) {
           rep.add(Severity::kError, codes::kBnbIncumbentRegression, node_name(i),
                   "final objective " + fmt(log.obj) + " is worse than the completion "
                       "candidate " + fmt(n.completion_obj) + " found here");
@@ -200,7 +201,7 @@ Report certify_bnb_tree(const milp::Model& model, const milp::AuditLog& log,
       }
       if (n.disp != milp::NodeDisp::kIntegral && n.has_completion &&
           std::abs(n.incumbent_obj - n.completion_obj) >
-              tol * (1.0 + std::abs(n.completion_obj))) {
+              kTol * (1.0 + std::abs(n.completion_obj))) {
         rep.add(Severity::kError, codes::kBnbIncumbentMismatch, node_name(i),
                 "incumbent update " + fmt(n.incumbent_obj) +
                     " does not match the completion candidate " + fmt(n.completion_obj));
@@ -297,7 +298,7 @@ Report certify_bnb_tree(const milp::Model& model, const milp::AuditLog& log,
     } else if (log.root_cert.status == lp::SolveStatus::kOptimal &&
                log.root_cert.d.size() == static_cast<std::size_t>(model.num_vars())) {
       const double slack = log.warm_obj - log.root_bound;
-      const double eps = tol * (1.0 + std::abs(slack));
+      const double eps = kTol * (1.0 + std::abs(slack));
       for (const milp::RootFixing& f : log.root_fixings) {
         if (f.var < 0 || f.var >= model.num_vars() || f.lo != f.hi) {
           rep.add(Severity::kError, codes::kBnbRootFixing, "var" + std::to_string(f.var),
@@ -321,7 +322,7 @@ Report certify_bnb_tree(const milp::Model& model, const milp::AuditLog& log,
 
   // ---- Final claim vs replayed incumbent and returned solution.
   if (have_final) {
-    if (std::abs(incumbent - log.obj) > tol * (1.0 + std::abs(log.obj))) {
+    if (std::abs(incumbent - log.obj) > kTol * (1.0 + std::abs(log.obj))) {
       rep.add(Severity::kError, codes::kBnbIncumbentMismatch, "result",
               "replayed incumbent " + fmt(incumbent) + " != claimed objective " +
                   fmt(log.obj));
@@ -332,7 +333,7 @@ Report certify_bnb_tree(const milp::Model& model, const milp::AuditLog& log,
                   std::to_string(model.num_vars()));
     } else {
       const double xobj = model.lp().objective_value(log.x);
-      if (std::abs(xobj - log.obj) > tol * (1.0 + std::abs(log.obj))) {
+      if (std::abs(xobj - log.obj) > kTol * (1.0 + std::abs(log.obj))) {
         rep.add(Severity::kError, codes::kBnbIncumbentMismatch, "result",
                 "returned point scores " + fmt(xobj) + ", claimed " + fmt(log.obj));
       }
@@ -342,7 +343,7 @@ Report certify_bnb_tree(const milp::Model& model, const milp::AuditLog& log,
                 "returned point is not MIP-feasible: " + why);
       }
     }
-    if (log.best_bound > log.obj + tol * (1.0 + std::abs(log.obj))) {
+    if (log.best_bound > log.obj + kTol * (1.0 + std::abs(log.obj))) {
       rep.add(Severity::kError, codes::kBnbBoundRegression, "result",
               "best bound " + fmt(log.best_bound) + " exceeds the objective " + fmt(log.obj));
     }
@@ -359,7 +360,7 @@ Report certify_bnb_tree(const milp::Model& model, const milp::AuditLog& log,
 
 Report certify_bnb(const milp::Model& model, const milp::AuditLog& log,
                    const CertifyBnbOptions& opt) {
-  if (!log.presolved) return certify_bnb_tree(model, log, opt);
+  if (!log.presolved) return certify_bnb_tree(model, log);
 
   // Presolved audit: every number in the log lives in the reduced space.
   // Mechanically replay the reduction log (shared code with the solver, so
@@ -428,7 +429,7 @@ Report certify_bnb(const milp::Model& model, const milp::AuditLog& log,
               std::to_string(reduced.num_rows()) + " of " +
               std::to_string(model.num_rows()) + " rows, " +
               std::to_string(log.reductions.reductions.size()) + " reductions)");
-  rep.merge(certify_bnb_tree(reduced, log, opt));
+  rep.merge(certify_bnb_tree(reduced, log));
   return rep;
 }
 

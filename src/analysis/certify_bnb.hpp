@@ -36,7 +36,6 @@ class Formulation;
 namespace nd::analysis {
 
 struct CertifyBnbOptions {
-  double tol = 1e-6;  ///< relative tolerance for bound/objective comparisons
   /// Deployment formulation behind `model`, when there is one. Needed to
   /// re-prove instance-tagged presolve reductions (dominance / symmetry) in
   /// a presolved audit; without it such records fail with

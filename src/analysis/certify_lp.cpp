@@ -11,6 +11,9 @@ namespace nd::analysis {
 
 namespace {
 
+/// Relative feasibility/gap tolerance (scaled per row).
+constexpr double kTol = 1e-6;
+
 std::string fmt(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%g", v);
@@ -41,8 +44,7 @@ std::vector<double> transpose_product(const lp::Problem& p, const std::vector<do
 
 class Checker {
  public:
-  Checker(const lp::Problem& p, const lp::Certificate& cert, const CertifyLpOptions& opt)
-      : p_(p), cert_(cert), tol_(opt.tol) {}
+  Checker(const lp::Problem& p, const lp::Certificate& cert) : p_(p), cert_(cert) {}
 
   Report run() {
     switch (cert_.status) {
@@ -109,7 +111,7 @@ class Checker {
                  "non-finite primal value");
         continue;
       }
-      if (xj < p_.lo(j) - tol_ * sc || xj > p_.hi(j) + tol_ * sc) {
+      if (xj < p_.lo(j) - kTol * sc || xj > p_.hi(j) + kTol * sc) {
         rep_.add(Severity::kError, codes::kLpCertPrimal, var_name(p_, j),
                  "value " + fmt(xj) + " outside [" + fmt(p_.lo(j)) + ", " + fmt(p_.hi(j)) +
                      "]");
@@ -120,9 +122,9 @@ class Checker {
       row_activity(r, &act, &sc);
       const lp::Row& row = p_.row(r);
       const double slack = row.rhs - act;
-      const bool bad = (row.sense == lp::Sense::LE && slack < -tol_ * sc) ||
-                       (row.sense == lp::Sense::GE && slack > tol_ * sc) ||
-                       (row.sense == lp::Sense::EQ && std::abs(slack) > tol_ * sc);
+      const bool bad = (row.sense == lp::Sense::LE && slack < -kTol * sc) ||
+                       (row.sense == lp::Sense::GE && slack > kTol * sc) ||
+                       (row.sense == lp::Sense::EQ && std::abs(slack) > kTol * sc);
       if (bad) {
         rep_.add(Severity::kError, codes::kLpCertPrimal, row_name(r),
                  "activity " + fmt(act) + " violates rhs " + fmt(row.rhs));
@@ -138,7 +140,7 @@ class Checker {
     const int m = p_.num_rows();
     double yscale = 1.0;
     for (const double yr : cert_.y) yscale = std::max(yscale, std::abs(yr));
-    const double ytol = tol_ * yscale;
+    const double ytol = kTol * yscale;
 
     // Row-dual sign conditions (dual feasibility of the slack columns).
     for (int r = 0; r < m; ++r) {
@@ -157,7 +159,7 @@ class Checker {
       d[static_cast<std::size_t>(j)] = p_.obj(j) - w[static_cast<std::size_t>(j)];
       dscale = std::max(dscale, std::abs(d[static_cast<std::size_t>(j)]));
     }
-    const double dtol = tol_ * dscale;
+    const double dtol = kTol * dscale;
     for (int j = 0; j < n; ++j) {
       const double dj = d[static_cast<std::size_t>(j)];
       const bool lo_finite = std::isfinite(p_.lo(j));
@@ -180,7 +182,7 @@ class Checker {
       if (sense == lp::Sense::EQ || std::abs(yr) <= ytol) continue;
       double act = 0.0, sc = 0.0;
       row_activity(r, &act, &sc);
-      if (std::abs(act - p_.row(r).rhs) > tol_ * sc) {
+      if (std::abs(act - p_.row(r).rhs) > kTol * sc) {
         rep_.add(Severity::kError, codes::kLpCertSlackness, row_name(r),
                  "dual " + fmt(yr) + " on a slack row (activity " + fmt(act) + ", rhs " +
                      fmt(p_.row(r).rhs) + ")");
@@ -192,7 +194,7 @@ class Checker {
       const double xj = cert_.x[static_cast<std::size_t>(j)];
       const double target = dj > 0.0 ? p_.lo(j) : p_.hi(j);
       const double sc = 1.0 + std::abs(target);
-      if (!std::isfinite(target) || std::abs(xj - target) > tol_ * sc) {
+      if (!std::isfinite(target) || std::abs(xj - target) > kTol * sc) {
         rep_.add(Severity::kError, codes::kLpCertSlackness, var_name(p_, j),
                  "reduced cost " + fmt(dj) + " but value " + fmt(xj) + " is off the " +
                      (dj > 0.0 ? "lower" : "upper") + " bound " + fmt(target));
@@ -217,12 +219,12 @@ class Checker {
     const double pv = primal.value();
     const double dv = dual.value();
     const double gscale = 1.0 + std::abs(pv) + std::abs(dv);
-    if (std::abs(pv - dv) > tol_ * gscale) {
+    if (std::abs(pv - dv) > kTol * gscale) {
       rep_.add(Severity::kError, codes::kLpCertDualityGap, "objective",
                "primal " + fmt(pv) + " vs dual bound " + fmt(dv) + " (gap " +
                    fmt(pv - dv) + ")");
     }
-    if (std::abs(cert_.obj - pv) > tol_ * (1.0 + std::abs(pv))) {
+    if (std::abs(cert_.obj - pv) > kTol * (1.0 + std::abs(pv))) {
       rep_.add(Severity::kError, codes::kLpCertObjective, "objective",
                "claimed " + fmt(cert_.obj) + " but cᵀx = " + fmt(pv));
     }
@@ -232,7 +234,7 @@ class Checker {
     const std::vector<double> w = transpose_product(p_, cert_.farkas);
     double yscale = 1.0;
     for (const double yr : cert_.farkas) yscale = std::max(yscale, std::abs(yr));
-    const double ytol = tol_ * yscale;
+    const double ytol = kTol * yscale;
 
     // Box-maximum of Σ_j w_j x_j + Σ_r y_r s_r versus yᵀb. Any term that can
     // run to +inf (a ray component pointing at an open bound) voids the ray.
@@ -272,7 +274,7 @@ class Checker {
       scale = std::max(scale, std::abs(term));
     }
     const double gap = ytb.value() - boxmax.value();
-    if (gap <= tol_ * scale) {
+    if (gap <= kTol * scale) {
       rep_.add(Severity::kError, codes::kLpCertFarkas, "ray",
                "yᵀb − box-max = " + fmt(gap) + " does not prove infeasibility");
     }
@@ -280,15 +282,13 @@ class Checker {
 
   const lp::Problem& p_;
   const lp::Certificate& cert_;
-  double tol_;
   Report rep_;
 };
 
 }  // namespace
 
-Report certify_lp(const lp::Problem& p, const lp::Certificate& cert,
-                  const CertifyLpOptions& opt) {
-  return Checker(p, cert, opt).run();
+Report certify_lp(const lp::Problem& p, const lp::Certificate& cert) {
+  return Checker(p, cert).run();
 }
 
 }  // namespace nd::analysis

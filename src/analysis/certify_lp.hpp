@@ -27,14 +27,9 @@
 
 namespace nd::analysis {
 
-struct CertifyLpOptions {
-  double tol = 1e-6;  ///< relative feasibility/gap tolerance (scaled per row)
-};
-
 /// Verify `cert` against `p`. Clean report = the certificate proves what it
 /// claims; every defect is an error diagnostic naming the offending row /
 /// variable / quantity.
-Report certify_lp(const lp::Problem& p, const lp::Certificate& cert,
-                  const CertifyLpOptions& opt = {});
+Report certify_lp(const lp::Problem& p, const lp::Certificate& cert);
 
 }  // namespace nd::analysis

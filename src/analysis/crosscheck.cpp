@@ -30,6 +30,10 @@ namespace nd::analysis {
 
 namespace {
 
+constexpr double kRTh = 0.995;     ///< reliability threshold (`gen` default)
+constexpr double kLambda = 2e-5;   ///< fault rate (`gen` default)
+constexpr double kTol = 1e-6;      ///< objective/energy comparison tolerance
+
 std::string fmt(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%g", v);
@@ -58,16 +62,14 @@ void check_deployment(const deploy::DeploymentProblem& p, const deploy::Deployme
       rep.add(Severity::kError, codes::kXcheckSimDivergence, who, why);
     }
   }
-  if (opt.exact_verify) {
-    // Third, independent judgment: the exact static verifier proves the
-    // deployment schedulable/reliable/energy-consistent without trusting
-    // either the float validator or the simulator.
-    VerifyDeploymentOptions vopt;
-    vopt.claimed_be = deploy::evaluate_energy(p, s).max_proc();
-    const VerifyDeploymentOutcome vd = verify_deployment(p, s, vopt);
-    for (const Diagnostic& d : vd.report.diagnostics()) {
-      rep.add(d.severity, d.code, who + "/" + d.subject, d.message);
-    }
+  // Third, independent judgment: the exact static verifier proves the
+  // deployment schedulable/reliable/energy-consistent without trusting
+  // either the float validator or the simulator.
+  VerifyDeploymentOptions vopt;
+  vopt.claimed_be = deploy::evaluate_energy(p, s).max_proc();
+  const VerifyDeploymentOutcome vd = verify_deployment(p, s, vopt);
+  for (const Diagnostic& d : vd.report.diagnostics()) {
+    rep.add(d.severity, d.code, who + "/" + d.subject, d.message);
   }
 }
 
@@ -89,7 +91,7 @@ SeedOutcome crosscheck_seed(std::uint64_t seed, const CrosscheckOptions& opt) {
   mesh.variation = opt.mesh_variation;
   deploy::DeploymentProblem p(task::generate_layered(prng, gen), mesh,
                               dvfs::VfTable::typical6(),
-                              reliability::FaultParams{opt.lambda, 3.0}, opt.r_th, 1.0);
+                              reliability::FaultParams{kLambda, 3.0}, kRTh, 1.0);
   p.set_horizon(p.horizon_for_alpha(opt.alpha));
 
   // --- Heuristic path.
@@ -112,7 +114,7 @@ SeedOutcome crosscheck_seed(std::uint64_t seed, const CrosscheckOptions& opt) {
   // Model ↔ evaluator consistency on the heuristic's point: the encoded
   // point's objective must equal the evaluator's BE energy.
   const double warm_obj = f.model().lp().objective_value(warm_point);
-  if (std::abs(warm_obj - out.heuristic_be) > opt.tol * (1.0 + std::abs(out.heuristic_be))) {
+  if (std::abs(warm_obj - out.heuristic_be) > kTol * (1.0 + std::abs(out.heuristic_be))) {
     rep.add(Severity::kError, codes::kXcheckEnergyMismatch, "heuristic",
             "model scores the heuristic point " + fmt(warm_obj) +
                 " J but the evaluator reports " + fmt(out.heuristic_be) + " J");
@@ -163,14 +165,14 @@ SeedOutcome crosscheck_seed(std::uint64_t seed, const CrosscheckOptions& opt) {
 
   // Model ↔ evaluator consistency on the MILP's point.
   const double milp_be = deploy::evaluate_energy(p, milp_sol).max_proc();
-  if (std::abs(milp_be - mip.obj) > opt.tol * (1.0 + std::abs(mip.obj))) {
+  if (std::abs(milp_be - mip.obj) > kTol * (1.0 + std::abs(mip.obj))) {
     rep.add(Severity::kError, codes::kXcheckEnergyMismatch, "milp",
             "MILP claims " + fmt(mip.obj) + " J but the evaluator reports " +
                 fmt(milp_be) + " J");
   }
 
   // The heuristic can never beat the MILP's PROVED lower bound.
-  if (out.heuristic_be < mip.best_bound - opt.tol * (1.0 + std::abs(mip.best_bound))) {
+  if (out.heuristic_be < mip.best_bound - kTol * (1.0 + std::abs(mip.best_bound))) {
     rep.add(Severity::kError, codes::kXcheckBeBelowOptimal, "heuristic",
             "heuristic BE " + fmt(out.heuristic_be) +
                 " J beats the certified lower bound " + fmt(mip.best_bound) + " J");
@@ -191,7 +193,7 @@ SeedOutcome crosscheck_seed(std::uint64_t seed, const CrosscheckOptions& opt) {
     } else {
       check_deployment(p, ann.solution, "anneal", opt, rep);
       out.anneal_be = deploy::evaluate_energy(p, ann.solution).max_proc();
-      if (out.anneal_be < mip.best_bound - opt.tol * (1.0 + std::abs(mip.best_bound))) {
+      if (out.anneal_be < mip.best_bound - kTol * (1.0 + std::abs(mip.best_bound))) {
         rep.add(Severity::kError, codes::kXcheckBeBelowOptimal, "anneal",
                 "annealing BE " + fmt(out.anneal_be) +
                     " J beats the certified lower bound " + fmt(mip.best_bound) + " J");
@@ -199,26 +201,23 @@ SeedOutcome crosscheck_seed(std::uint64_t seed, const CrosscheckOptions& opt) {
     }
   }
 
-  // Certify the run itself: root LP certificate + full tree replay, and —
-  // when exact checking is on — the rational re-proof of the root
-  // certificate (the per-node exact replay is the CLI's job; here the root
-  // recheck already exercises the whole exact LP pipeline per seed).
+  // Certify the run itself: root LP certificate + full tree replay, and the
+  // rational re-proof of the root certificate (the per-node exact replay is
+  // the CLI's job; here the root recheck already exercises the whole exact
+  // LP pipeline per seed).
   CertifyBnbOptions copt;
-  copt.tol = opt.tol;
   copt.formulation = &f;  // instance-tagged reductions are re-proved per seed
   rep.merge(certify_bnb(f.model(), audit, copt));
-  if (opt.exact_verify) {
-    // A presolved audit's root certificate lives in the REDUCED space;
-    // reconstruct that space from the (just re-proved) reduction log before
-    // handing the certificate to the rational re-checker.
-    if (audit.presolved) {
-      const lp::PresolvedLp pmap = lp::apply_reductions(f.model().lp(), audit.reductions);
-      if (!pmap.infeasible && pmap.reduced.num_vars() > 0) {
-        rep.merge(certify_lp_exact(pmap.reduced, audit.root_cert).report);
-      }
-    } else {
-      rep.merge(certify_lp_exact(f.model().lp(), audit.root_cert).report);
+  // A presolved audit's root certificate lives in the REDUCED space;
+  // reconstruct that space from the (just re-proved) reduction log before
+  // handing the certificate to the rational re-checker.
+  if (audit.presolved) {
+    const lp::PresolvedLp pmap = lp::apply_reductions(f.model().lp(), audit.reductions);
+    if (!pmap.infeasible && pmap.reduced.num_vars() > 0) {
+      rep.merge(certify_lp_exact(pmap.reduced, audit.root_cert).report);
     }
+  } else {
+    rep.merge(certify_lp_exact(f.model().lp(), audit.root_cert).report);
   }
 
   // --- Presolve must be a pure reformulation: re-solve with every presolve
@@ -226,7 +225,7 @@ SeedOutcome crosscheck_seed(std::uint64_t seed, const CrosscheckOptions& opt) {
   // derived, not tuned: each incumbent must respect the other run's proved
   // lower bound within the claim envelope, and the two objectives must agree
   // within the solver's own declared gap tolerances plus that envelope.
-  if (opt.presolve && opt.presolve_equality && mip.status == milp::MipStatus::kOptimal) {
+  if (opt.presolve && mip.status == milp::MipStatus::kOptimal) {
     milp::MipOptions m2 = mopt;
     m2.audit = nullptr;
     m2.presolve = false;
@@ -252,7 +251,7 @@ SeedOutcome crosscheck_seed(std::uint64_t seed, const CrosscheckOptions& opt) {
                   " J beats the raw model's proved bound " + fmt(off.best_bound) + " J");
     }
     if (off.status == milp::MipStatus::kOptimal) {
-      const double gap_budget = mopt.abs_gap + mopt.rel_gap * (1.0 + std::abs(mip.obj));
+      const double gap_budget = milp::kAbsGap + milp::kRelGap * (1.0 + std::abs(mip.obj));
       if (std::abs(mip.obj - off.obj) > 2.0 * gap_budget + env) {
         rep.add(Severity::kError, codes::kXcheckPresolveDivergence, "milp",
                 "presolve on/off objectives disagree: " + fmt(mip.obj) + " J vs " +

@@ -18,9 +18,11 @@
 //   * a simulated-annealing baseline explores the same space; when it finds
 //     a feasible state that deployment clears the same validator/simulator/
 //     verifier battery and respects the MILP's lower bound,
-//   * with exact_verify on, every deployment is additionally proved by the
-//     exact static verifier and the root LP certificate is re-proved in
-//     rational arithmetic (analysis/exact/).
+//   * every deployment is additionally proved by the exact static verifier
+//     and the root LP certificate is re-proved in rational arithmetic
+//     (analysis/exact/),
+//   * with presolve on and a proved optimum, a presolve-off re-solve must
+//     agree with it.
 //
 // Every defect becomes an error diagnostic; a clean report over many seeds
 // is the repo's strongest end-to-end correctness statement.
@@ -42,8 +44,6 @@ struct CrosscheckOptions {
   /// Looser than the CLI's gen default (1.5): at 1.5 roughly half the random
   /// instances are heuristic-infeasible, which is a different test.
   double alpha = 2.0;
-  double r_th = 0.995;
-  double lambda = 2e-5;
   /// Per-link heterogeneity of the mesh (noc::MeshParams::variation). The
   /// default keeps the historical instances; 0 makes the link tensors
   /// uniform, which gives the grid provable mesh automorphisms — the presolve
@@ -61,21 +61,15 @@ struct CrosscheckOptions {
   /// audit either way, so crosscheck doubles as an end-to-end test of the
   /// parallel path.
   int num_threads = 1;
-  double tol = 1e-6;          ///< objective/energy comparison tolerance
   /// Run the MILP with the proof-carrying presolve (instance reductions +
-  /// model passes). Off reproduces the raw-model solve exactly.
+  /// model passes). Off reproduces the raw-model solve exactly. On, a
+  /// proved-optimal seed is re-solved with presolve off and the two runs
+  /// must agree: each incumbent must respect the other run's proved lower
+  /// bound, and the objectives must match within the solver's own gap
+  /// tolerances plus the derived claim envelope. Divergence means a
+  /// presolve reduction cut off the optimum.
   bool presolve = true;
-  /// With presolve on and a proved-optimal solve, re-solve the seed with
-  /// presolve off and require the two runs to agree: each incumbent must
-  /// respect the other run's proved lower bound, and the objectives must
-  /// match within the solver's own gap tolerances plus the derived claim
-  /// envelope. Divergence means a presolve reduction cut off the optimum.
-  bool presolve_equality = true;
   bool run_simulation = true; ///< event-simulate both deployments
-  /// Run the exact static verifier (analysis/exact/verify_deployment) on
-  /// every deployment any path produces, and re-prove the MILP's root LP
-  /// certificate in rational arithmetic (analysis/exact/certify_lp_exact).
-  bool exact_verify = true;
   /// Iteration budget for the annealing leg; 0 disables it. Annealing is
   /// incomplete, so an infeasible outcome is a warning, not a defect.
   int anneal_iterations = 6000;

@@ -12,6 +12,10 @@ namespace nd::analysis {
 
 namespace {
 
+constexpr double kHugeCoef = 1e12;   ///< |a| above this is flagged as huge
+constexpr double kTinyCoef = 1e-12;  ///< nonzero |a| below this is flagged as tiny
+constexpr double kFeasTol = 1e-6;    ///< slack granted before declaring infeasibility
+
 std::string var_name(const RawModel& m, int j) {
   if (j >= 0 && j < static_cast<int>(m.vars.size())) {
     const std::string& n = m.vars[static_cast<std::size_t>(j)].name;
@@ -68,7 +72,7 @@ Interval term_interval(double a, double xlo, double xhi) {
   return {a * xhi, a * xlo};
 }
 
-void check_variables(const RawModel& m, const LintModelOptions& opt, Report* rep) {
+void check_variables(const RawModel& m, Report* rep) {
   for (int j = 0; j < static_cast<int>(m.vars.size()); ++j) {
     const RawVar& var = m.vars[static_cast<std::size_t>(j)];
     const std::string name = var_name(m, j);
@@ -92,14 +96,14 @@ void check_variables(const RawModel& m, const LintModelOptions& opt, Report* rep
     if (!std::isfinite(var.obj)) {
       rep->add(Severity::kError, codes::kNonFiniteCoef, name,
                "objective coefficient is " + fmt(var.obj));
-    } else if (std::abs(var.obj) > opt.huge_coef) {
+    } else if (std::abs(var.obj) > kHugeCoef) {
       rep->add(Severity::kWarning, codes::kHugeCoef, name,
-               "objective coefficient " + fmt(var.obj) + " exceeds " + fmt(opt.huge_coef));
+               "objective coefficient " + fmt(var.obj) + " exceeds " + fmt(kHugeCoef));
     }
   }
 }
 
-void check_rows(const RawModel& m, const LintModelOptions& opt, Report* rep) {
+void check_rows(const RawModel& m, Report* rep) {
   const int n = static_cast<int>(m.vars.size());
   std::map<std::string, int> seen;  // normalized row key -> first row index
   std::vector<char> referenced(static_cast<std::size_t>(n), 0);
@@ -124,14 +128,14 @@ void check_rows(const RawModel& m, const LintModelOptions& opt, Report* rep) {
         rep->add(Severity::kError, codes::kNonFiniteCoef, row_name(r),
                  "coefficient of " + var_name(m, j) + " is " + fmt(v));
         usable = false;
-      } else if (std::abs(v) > opt.huge_coef) {
+      } else if (std::abs(v) > kHugeCoef) {
         rep->add(Severity::kWarning, codes::kHugeCoef, row_name(r),
                  "coefficient " + fmt(v) + " of " + var_name(m, j) + " exceeds " +
-                     fmt(opt.huge_coef));
-      } else if (v != 0.0 && std::abs(v) < opt.tiny_coef) {  // fp-exact: exact zeros are fine
+                     fmt(kHugeCoef));
+      } else if (v != 0.0 && std::abs(v) < kTinyCoef) {  // fp-exact: exact zeros are fine
         rep->add(Severity::kWarning, codes::kTinyCoef, row_name(r),
                  "coefficient " + fmt(v) + " of " + var_name(m, j) + " is below " +
-                     fmt(opt.tiny_coef));
+                     fmt(kTinyCoef));
       }
     }
     if (!usable) continue;
@@ -142,9 +146,9 @@ void check_rows(const RawModel& m, const LintModelOptions& opt, Report* rep) {
     if (norm.empty()) {
       bool violated = false;
       switch (row.sense) {
-        case lp::Sense::LE: violated = row.rhs < -opt.feas_tol; break;
-        case lp::Sense::GE: violated = row.rhs > opt.feas_tol; break;
-        case lp::Sense::EQ: violated = std::abs(row.rhs) > opt.feas_tol; break;
+        case lp::Sense::LE: violated = row.rhs < -kFeasTol; break;
+        case lp::Sense::GE: violated = row.rhs > kFeasTol; break;
+        case lp::Sense::EQ: violated = std::abs(row.rhs) > kFeasTol; break;
       }
       rep->add(violated ? Severity::kError : Severity::kWarning, codes::kEmptyRow,
                row_name(r),
@@ -181,7 +185,7 @@ void check_rows(const RawModel& m, const LintModelOptions& opt, Report* rep) {
 }
 
 /// Row-activity infeasibility plus one round of interval propagation.
-void check_intervals(const RawModel& m, const LintModelOptions& opt, Report* rep) {
+void check_intervals(const RawModel& m, Report* rep) {
   const int n = static_cast<int>(m.vars.size());
   std::vector<double> tlo(static_cast<std::size_t>(n));
   std::vector<double> thi(static_cast<std::size_t>(n));
@@ -217,7 +221,7 @@ void check_intervals(const RawModel& m, const LintModelOptions& opt, Report* rep
     const double scale = std::max({1.0, std::abs(row.rhs),
                                    std::isfinite(act.lo) ? std::abs(act.lo) : 0.0,
                                    std::isfinite(act.hi) ? std::abs(act.hi) : 0.0});
-    const double slack = opt.feas_tol * scale;
+    const double slack = kFeasTol * scale;
     const bool le_side = row.sense != lp::Sense::GE;  // LE or EQ
     const bool ge_side = row.sense != lp::Sense::LE;  // GE or EQ
     if (le_side && act.lo > row.rhs + slack) {
@@ -263,7 +267,7 @@ void check_intervals(const RawModel& m, const LintModelOptions& opt, Report* rep
     const double scale =
         std::max({1.0, std::isfinite(tlo[ju]) ? std::abs(tlo[ju]) : 0.0,
                   std::isfinite(thi[ju]) ? std::abs(thi[ju]) : 0.0});
-    if (tlo[ju] > thi[ju] + opt.feas_tol * scale) {
+    if (tlo[ju] > thi[ju] + kFeasTol * scale) {
       rep->add(Severity::kError, codes::kPropagationInfeasible, var_name(m, j),
                "implied bounds [" + fmt(tlo[ju]) + ", " + fmt(thi[ju]) +
                    "] are contradictory after one propagation round");
@@ -290,20 +294,16 @@ RawModel to_raw(const lp::Problem& p, const milp::Model* mip) {
 
 }  // namespace
 
-Report lint_raw_model(const RawModel& m, const LintModelOptions& opt) {
+Report lint_raw_model(const RawModel& m) {
   Report rep;
-  check_variables(m, opt, &rep);
-  check_rows(m, opt, &rep);
-  check_intervals(m, opt, &rep);
+  check_variables(m, &rep);
+  check_rows(m, &rep);
+  check_intervals(m, &rep);
   return rep;
 }
 
-Report lint_lp(const lp::Problem& p, const LintModelOptions& opt) {
-  return lint_raw_model(to_raw(p, nullptr), opt);
-}
+Report lint_lp(const lp::Problem& p) { return lint_raw_model(to_raw(p, nullptr)); }
 
-Report lint_model(const milp::Model& m, const LintModelOptions& opt) {
-  return lint_raw_model(to_raw(m.lp(), &m), opt);
-}
+Report lint_model(const milp::Model& m) { return lint_raw_model(to_raw(m.lp(), &m)); }
 
 }  // namespace nd::analysis

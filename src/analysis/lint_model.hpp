@@ -37,12 +37,6 @@
 
 namespace nd::analysis {
 
-struct LintModelOptions {
-  double huge_coef = 1e12;   ///< |a| above this is flagged as huge
-  double tiny_coef = 1e-12;  ///< nonzero |a| below this is flagged as tiny
-  double feas_tol = 1e-6;    ///< slack granted before declaring infeasibility
-};
-
 /// Unvalidated model description, lintable before any constructor runs.
 struct RawVar {
   double lo = 0.0;
@@ -64,12 +58,12 @@ struct RawModel {
 };
 
 /// Lint a raw (possibly malformed) model description.
-Report lint_raw_model(const RawModel& m, const LintModelOptions& opt = {});
+Report lint_raw_model(const RawModel& m);
 
 /// Lint a bare LP (delegates to lint_raw_model).
-Report lint_lp(const lp::Problem& p, const LintModelOptions& opt = {});
+Report lint_lp(const lp::Problem& p);
 
 /// Lint a MILP (the LP checks plus integrality-specific ones).
-Report lint_model(const milp::Model& m, const LintModelOptions& opt = {});
+Report lint_model(const milp::Model& m);
 
 }  // namespace nd::analysis

@@ -20,8 +20,7 @@ namespace {
 
 class Checker {
  public:
-  Checker(const DeploymentProblem& p, const DeploymentSolution& s, const ValidationOptions& opt)
-      : p_(p), s_(s), opt_(opt) {}
+  Checker(const DeploymentProblem& p, const DeploymentSolution& s) : p_(p), s_(s) {}
 
   ValidationResult run() {
     check_shapes();
@@ -47,7 +46,7 @@ class Checker {
   }
 
   [[nodiscard]] bool exists(int i) const { return s_.exists[static_cast<std::size_t>(i)] != 0; }
-  [[nodiscard]] double tol() const { return opt_.tol + opt_.rel_tol * p_.horizon(); }
+  [[nodiscard]] double tol() const { return kTimeTol + kTimeRelTol * p_.horizon(); }
 
   void check_shapes() {
     const auto total = static_cast<std::size_t>(p_.num_total_tasks());
@@ -84,7 +83,7 @@ class Checker {
       if (r < p_.r_th() - kRelEps && !dup) {
         fail("task ", i, " reliability ", r, " < R_th ", p_.r_th(), " but no duplicate");  // (4)
       }
-      if (opt_.enforce_duplication_equivalence && r >= p_.r_th() + kRelEps && dup) {
+      if (r >= p_.r_th() + kRelEps && dup) {
         fail("task ", i, " reliability ", r, " >= R_th but duplicate exists (eq. (4))");
       }
       if (effective_reliability(p_, s_, i) < p_.r_th() - kRelEps) {
@@ -167,15 +166,13 @@ class Checker {
 
   const DeploymentProblem& p_;
   const DeploymentSolution& s_;
-  ValidationOptions opt_;
   ValidationResult res_;
 };
 
 }  // namespace
 
-ValidationResult validate(const DeploymentProblem& p, const DeploymentSolution& s,
-                          const ValidationOptions& opt) {
-  return Checker(p, s, opt).run();
+ValidationResult validate(const DeploymentProblem& p, const DeploymentSolution& s) {
+  return Checker(p, s).run();
 }
 
 }  // namespace nd::deploy

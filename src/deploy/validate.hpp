@@ -22,13 +22,9 @@
 
 namespace nd::deploy {
 
-struct ValidationOptions {
-  double tol = 1e-7;  ///< absolute slack on time comparisons [s]
-  double rel_tol = 1e-9;
-  /// When false, constraint (4) is relaxed to one direction: a copy MUST
-  /// exist when reliability is short, but extra copies are tolerated.
-  bool enforce_duplication_equivalence = true;
-};
+/// Slack on time comparisons: kTimeTol + kTimeRelTol·H seconds.
+inline constexpr double kTimeTol = 1e-7;
+inline constexpr double kTimeRelTol = 1e-9;
 
 struct ValidationResult {
   std::vector<std::string> violations;
@@ -36,7 +32,6 @@ struct ValidationResult {
   [[nodiscard]] std::string summary() const;
 };
 
-ValidationResult validate(const DeploymentProblem& p, const DeploymentSolution& s,
-                          const ValidationOptions& opt = {});
+ValidationResult validate(const DeploymentProblem& p, const DeploymentSolution& s);
 
 }  // namespace nd::deploy

@@ -15,6 +15,10 @@ namespace nd::heuristic {
 
 namespace {
 
+constexpr double kInitialTempFrac = 0.10;     ///< T0 as a fraction of the initial objective
+constexpr double kCooling = 0.9995;           ///< geometric factor per iteration
+constexpr double kInfeasibilityWeight = 4.0;  ///< penalty scale for horizon overshoot
+
 /// Mutable annealing state: level/proc per task slot, path per pair.
 /// Duplication (h) and the schedule are derived, never stored.
 struct State {
@@ -50,7 +54,7 @@ class Annealer {
     State best = s;
     double best_cost = cost;
 
-    double temp = std::max(1e-12, opt_.initial_temp_frac * std::abs(cost));
+    double temp = std::max(1e-12, kInitialTempFrac * std::abs(cost));
     for (int it = 0; it < opt_.iterations; ++it) {
       State cand = s;
       mutate(cand);
@@ -75,7 +79,7 @@ class Annealer {
           res.solution = std::move(cand_sol);
         }
       }
-      temp *= opt_.cooling;
+      temp *= kCooling;
     }
     if (!res.feasible) {
       // Report the least-bad state so callers can inspect it.
@@ -208,7 +212,7 @@ class Annealer {
     *feasible = (over == 0.0) && rel_ok;  // fp-exact
     *objective = rep.max_proc();
     return rep.max_proc() *
-           (1.0 + opt_.infeasibility_weight * (over + (rel_ok ? 0.0 : 1.0)));
+           (1.0 + kInfeasibilityWeight * (over + (rel_ok ? 0.0 : 1.0)));
   }
 
   const deploy::DeploymentProblem& p_;

@@ -19,9 +19,6 @@ namespace nd::heuristic {
 
 struct AnnealOptions {
   int iterations = 30000;
-  double initial_temp_frac = 0.10;  ///< T0 as a fraction of the initial objective
-  double cooling = 0.9995;          ///< geometric factor per iteration
-  double infeasibility_weight = 4.0;  ///< penalty scale for horizon overshoot
   std::uint64_t seed = 1;
   /// Emit a run span plus proposal/acceptance/repair counters into the obs
   /// telemetry layer. Only observable while an obs session is collecting, and

@@ -75,12 +75,4 @@ struct Certificate {
 json::Value certificate_to_json(const Certificate& cert);
 Certificate certificate_from_json(const json::Value& v);
 
-/// One-shot: solve and extract the matching certificate (duals on kOptimal,
-/// Farkas ray on kInfeasible; empty data otherwise).
-struct CertifiedLpResult {
-  LpResult result;
-  Certificate cert;
-};
-CertifiedLpResult solve_lp_certified(const Problem& p, Simplex::Options opt = {});
-
 }  // namespace nd::lp

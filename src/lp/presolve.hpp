@@ -10,9 +10,9 @@
 //   * this file (lp layer): the record types, their JSON round-trip, the
 //     purely MECHANICAL application step `apply_reductions` (overlay bounds /
 //     coefficients, drop rows, eliminate fixed columns), lifting of points
-//     and `lp::Certificate`s back to the original space, and the
-//     model-structure passes (activity-based bound propagation, Savelsbergh
-//     coefficient tightening, redundant-row and empty-column elimination);
+//     back to the original space, and the model-structure passes
+//     (activity-based bound propagation, Savelsbergh coefficient
+//     tightening, redundant-row and empty-column elimination);
 //   * analysis/presolve (analysis layer): instance-level passes that need the
 //     deployment problem (V/F dominance, mesh/task symmetry), and the
 //     independent certifier for the whole log.
@@ -24,7 +24,7 @@
 // (checked with error-free transformations); otherwise the column stays in
 // the reduced problem with a pinned [v, v] box. This keeps the reduced model
 // exactly equivalent to the original on the eliminated coordinates, which is
-// what lets lifted certificates survive the zero-tolerance exact checker.
+// what lets lifted points survive the zero-tolerance exact checker.
 //
 // Float margins used by the passes are derived from the shared claim
 // envelope (analysis/exact/envelope.hpp); presolve introduces no tunable
@@ -183,24 +183,6 @@ std::vector<double> lift_point(const PresolvedLp& map, const std::vector<double>
 /// unsatisfiable as a constant constraint.
 Certificate trivial_certificate(const Problem& reduced, bool* feasible);
 
-/// Lift a certificate for the reduced problem to one for the original
-/// problem `orig`: dropped rows get zero duals and their own slack basic,
-/// eliminated columns become nonbasic at their pinned bound with reduced
-/// cost recomputed from the original data, basis indices are remapped, and
-/// the objective claim is shifted. Sound for both kOptimal and kInfeasible
-/// (Farkas) certificates — see docs/presolve.md for the argument.
-Certificate lift_certificate(const PresolvedLp& map, const Problem& orig,
-                             const Certificate& reduced_cert);
-
-/// Model-structure presolve passes.
-struct PresolveOptions {
-  int max_rounds = 10;            ///< fixpoint round cap
-  bool bound_propagation = true;  ///< activity-based bound tightening
-  bool coef_tightening = true;    ///< Savelsbergh tightening on binary columns
-  bool drop_redundant_rows = true;
-  bool fix_empty_columns = true;
-};
-
 /// Run the activity-based passes over `p` to a fixpoint, APPENDING records
 /// to `log` (existing records — e.g. from the instance presolve — are
 /// replayed into the working state first). `integer[j]` marks integer
@@ -208,14 +190,6 @@ struct PresolveOptions {
 /// valid for the MILP feasible set but NOT for the LP relaxation, so LP-only
 /// callers must leave it empty. Returns the number of fixpoint rounds run.
 int presolve_model_passes(const Problem& p, const std::vector<char>& integer,
-                          ReductionLog& log, const PresolveOptions& opt = {});
-
-/// The certificate-safe reduction subset for pure-LP solves: redundant rows,
-/// columns already pinned (lo == hi) in `p`, and empty columns. No bound or
-/// coefficient tightening — a reduced optimum can sit nonbasic AT a
-/// tightened bound, which is not a bound of the original problem, so such
-/// certificates would not lift. `solve_lp`/`solve_lp_certified` use this
-/// when `Options::presolve` is on.
-ReductionLog presolve_lp_safe(const Problem& p);
+                          ReductionLog& log);
 
 }  // namespace nd::lp

@@ -63,24 +63,14 @@ class RevisedEngine;  // lp/simplex_revised.cpp
 class Simplex {
  public:
   struct Options {
-    double tol = 1e-7;        ///< primal/dual feasibility tolerance
     int max_iters = 200000;   ///< pivot limit per solve call
-    int bland_after = 400;    ///< consecutive degenerate pivots before Bland
-    int recheck_every = 4096; ///< pivots between numerical residual checks
-    /// Optional wall-clock deadline (checked every 128 pivots); expiry makes
-    /// the current loop return kIterLimit. Used by branch-and-bound so one
-    /// pathological LP cannot overrun the global time limit.
-    std::chrono::steady_clock::time_point deadline{};
-    /// One-shot entry points (solve_lp / solve_lp_certified) run the
-    /// certificate-safe presolve (lp/presolve.hpp) and solve the reduced
-    /// problem, lifting the point/certificate back. The Simplex engine
-    /// itself ignores this flag — branch-and-bound presolves once at the
-    /// root (milp::MipOptions::presolve), not per node.
-    bool presolve = true;
     /// Primal pricing rule.
     Pricing pricing = Pricing::kDevex;
   };
 
+  /// Wall-clock deadline (checked every 128 pivots); expiry makes the
+  /// current loop return kIterLimit. Used by branch-and-bound so one
+  /// pathological LP cannot overrun the global time limit. Unset: none.
   void set_deadline(std::chrono::steady_clock::time_point t);
 
   explicit Simplex(const Problem& p);

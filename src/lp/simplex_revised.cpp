@@ -35,6 +35,12 @@ namespace detail {
 namespace {
 constexpr double kPivotTol = 1e-9;
 constexpr double kDegenStep = 1e-12;
+/// Primal/dual feasibility tolerance.
+constexpr double kTol = 1e-7;
+/// Consecutive degenerate pivots before Bland pricing takes over.
+constexpr int kBlandAfter = 400;
+/// Pivots between numerical residual checks.
+constexpr int kRecheckEvery = 4096;
 
 bool past_deadline(const std::chrono::steady_clock::time_point& deadline, int iters) {
   if (deadline.time_since_epoch().count() == 0) return false;
@@ -50,7 +56,7 @@ class RevisedEngine {
   SolveStatus solve();
   SolveStatus dual_resolve();
   void set_bound(int j, double lo, double hi);
-  void set_deadline(std::chrono::steady_clock::time_point t) { opt_.deadline = t; }
+  void set_deadline(std::chrono::steady_clock::time_point t) { deadline_ = t; }
 
   [[nodiscard]] double bound_lo(int j) const { return lo_[static_cast<std::size_t>(j)]; }
   [[nodiscard]] double bound_hi(int j) const { return hi_[static_cast<std::size_t>(j)]; }
@@ -104,7 +110,6 @@ class RevisedEngine {
                 ///< basis was refactorized in place and values resynced —
                 ///< caller must reprice (no ban: the refusal may have been
                 ///< eta-chain noise, and the clean factors now decide)
-    kFail,      ///< factors unrecoverable — caller must abandon the loop
   };
   /// Basis exchange at position r: entering q, leaver to `leave_target`.
   /// w = B⁻¹a_q (basis-position-indexed), alpha = pivot row over working
@@ -125,11 +130,11 @@ class RevisedEngine {
     const auto ju = static_cast<std::size_t>(j);
     if (stat_[ju] == VarStatus::kBasic) return false;
     if (hi_[ju] - lo_[ju] <= 0.0) return false;  // fixed
-    if (stat_[ju] == VarStatus::kAtLower && d_[ju] < -opt_.tol) {
+    if (stat_[ju] == VarStatus::kAtLower && d_[ju] < -kTol) {
       *dir = 1.0;
       return true;
     }
-    if (stat_[ju] == VarStatus::kAtUpper && d_[ju] > opt_.tol) {
+    if (stat_[ju] == VarStatus::kAtUpper && d_[ju] > kTol) {
       *dir = -1.0;
       return true;
     }
@@ -142,6 +147,7 @@ class RevisedEngine {
 #endif
 
   Simplex::Options opt_;
+  std::chrono::steady_clock::time_point deadline_{};
   int n_ = 0;   // structural vars
   int m_ = 0;   // rows
   int nt_ = 0;  // total columns = n + 2m
@@ -276,7 +282,7 @@ void RevisedEngine::build_initial_basis() {
     const int ac = art_col(r);
     const auto scu = static_cast<std::size_t>(sc);
     const auto acu = static_cast<std::size_t>(ac);
-    if (res >= lo_[scu] - opt_.tol && res <= hi_[scu] + opt_.tol) {
+    if (res >= lo_[scu] - kTol && res <= hi_[scu] + kTol) {
       // Slack absorbs the residual: row starts feasible.
       basis_[static_cast<std::size_t>(r)] = sc;
       stat_[scu] = VarStatus::kBasic;
@@ -552,11 +558,11 @@ SolveStatus RevisedEngine::primal_loop() {
   bool was_bland = false;
   numerical_stuck_ = false;
   while (iters++ < opt_.max_iters) {
-    if (past_deadline(opt_.deadline, iters)) {
+    if (past_deadline(deadline_, iters)) {
       return SolveStatus::kIterLimit;
     }
     const bool bland =
-        force_bland_ || degen_run_ > opt_.bland_after || iters > bland_after_iters;
+        force_bland_ || degen_run_ > kBlandAfter || iters > bland_after_iters;
     if (bland && !was_bland) {
       ++counters_.bland_activations;
       was_bland = true;
@@ -665,9 +671,6 @@ SolveStatus RevisedEngine::primal_loop() {
     } else {
       compute_pivot_row(leave_row, &rho, &alpha);
       const PivotOutcome out = pivot(leave_row, q, leave_target, w, alpha);
-      if (out == PivotOutcome::kFail) {
-        return SolveStatus::kIterLimit;
-      }
       if (out == PivotOutcome::kRetry) continue;  // reprice on fresh factors
       if (out == PivotOutcome::kRejected) {
         banned[static_cast<std::size_t>(q)] = 1;
@@ -693,8 +696,7 @@ SolveStatus RevisedEngine::primal_loop() {
     }
 #endif
 
-    if (opt_.recheck_every > 0 && total_iters_ % opt_.recheck_every == 0 &&
-        residual() > 1e-6) {
+    if (total_iters_ % kRecheckEvery == 0 && residual() > 1e-6) {
       if (!refactorize()) {
         return SolveStatus::kIterLimit;
       }
@@ -730,10 +732,10 @@ SolveStatus RevisedEngine::dual_loop() {
   int dual_degen_run = 0;
   const int dual_degen_cap = m_ + 100;
   while (iters++ < opt_.max_iters) {
-    if (past_deadline(opt_.deadline, iters)) {
+    if (past_deadline(deadline_, iters)) {
       return SolveStatus::kIterLimit;
     }
-    const bool bland = degen_run_ > opt_.bland_after || iters > bland_after_iters;
+    const bool bland = degen_run_ > kBlandAfter || iters > bland_after_iters;
     if (bland && !was_bland) {
       ++counters_.bland_activations;
       was_bland = true;
@@ -741,7 +743,7 @@ SolveStatus RevisedEngine::dual_loop() {
     // Leaving row: worst primal bound violation among basics (Bland mode:
     // first violated row, which breaks degenerate cycles).
     int r = -1;
-    double worst = opt_.tol;
+    double worst = kTol;
     double target = 0.0;
     bool need_increase = false;
     for (int rr = 0; rr < m_; ++rr) {
@@ -840,16 +842,13 @@ SolveStatus RevisedEngine::dual_loop() {
       continue;
     }
     const PivotOutcome out = pivot(r, q, target, w, alpha);
-    if (out == PivotOutcome::kFail) {
-      return SolveStatus::kIterLimit;
-    }
     if (out == PivotOutcome::kRetry) continue;  // reprice on fresh factors
     if (out == PivotOutcome::kRejected) {
       banned[static_cast<std::size_t>(q)] = 1;
       continue;
     }
     std::fill(banned.begin(), banned.end(), 0);
-    if (std::abs(d_[static_cast<std::size_t>(q)]) <= opt_.tol) {
+    if (std::abs(d_[static_cast<std::size_t>(q)]) <= kTol) {
       if (++dual_degen_run > dual_degen_cap) {
         stalled_ = true;
         return SolveStatus::kIterLimit;
@@ -861,8 +860,7 @@ SolveStatus RevisedEngine::dual_loop() {
     check_basis_consistency();
 #endif
 
-    if (opt_.recheck_every > 0 && total_iters_ % opt_.recheck_every == 0 &&
-        residual() > 1e-6) {
+    if (total_iters_ % kRecheckEvery == 0 && residual() > 1e-6) {
       if (!refactorize()) {
         return SolveStatus::kIterLimit;
       }
@@ -909,12 +907,15 @@ SolveStatus RevisedEngine::solve_impl() {
       return last_status_ = s1;
     }
     ND_ASSERT(s1 != SolveStatus::kUnbounded, "phase-1 objective is bounded below by 0");
-    double art_sum = 0.0;
+    // Every artificial must be within tolerance on its own: a budget on their
+    // sum grows with m and lets one stay basic far above tol, and phase 2
+    // would then report an "optimum" that violates that artificial's row.
+    double art_max = 0.0;
     for (int r = 0; r < m_; ++r) {
       const int ac = art_col(r);
-      art_sum += std::abs(xval_[static_cast<std::size_t>(ac)]);
+      art_max = std::max(art_max, std::abs(xval_[static_cast<std::size_t>(ac)]));
     }
-    if (art_sum > opt_.tol * std::max(1.0, static_cast<double>(m_))) {
+    if (art_max > kTol) {
       // cost_ still holds the phase-1 objective: extract_certificate() reads
       // the phase-1 duals as the Farkas ray. As above, this state must not
       // seed a warm resolve.

@@ -96,10 +96,12 @@ struct AuditLog {
   double best_bound = 0.0;
   std::vector<double> x;
 
-  // Tolerances the run used (the replayer honours the same gaps).
-  double int_tol = 1e-6;
-  double abs_gap = 1e-9;
-  double rel_gap = 1e-6;
+  // Tolerances the run used (the replayer honours the same gaps). Read back
+  // from audit files, so a certifier takes them from the log, not from the
+  // solver's constants.
+  double int_tol = kIntTol;
+  double abs_gap = kAbsGap;
+  double rel_gap = kRelGap;
 };
 
 /// JSON round-trip for the CLI (`nocdeploy-cli certify --audit F`).

@@ -28,13 +28,16 @@ const char* to_string(MipStatus s);
 
 struct AuditLog;  // milp/audit.hpp
 
+/// Integrality tolerance of the tree search.
+inline constexpr double kIntTol = 1e-6;
+/// Optimality gaps: a node is pruned once its bound is within
+/// max(kAbsGap, kRelGap·|incumbent|) of the incumbent.
+inline constexpr double kAbsGap = 1e-9;
+inline constexpr double kRelGap = 1e-6;
+
 struct MipOptions {
   double time_limit_s = 120.0;
   std::int64_t node_limit = 50'000'000;
-  double int_tol = 1e-6;
-  double abs_gap = 1e-9;
-  double rel_gap = 1e-6;
-  bool verbose = false;
   /// Workers for the tree search (parallel_bnb.cpp). Worker 0 runs on the
   /// calling thread; N > 1 adds a pool of N - 1 threads. Workers pull open
   /// subtrees from a shared best-bound queue, share the incumbent, and write

@@ -47,7 +47,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <exception>
 #include <limits>
 #include <mutex>
@@ -75,7 +74,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Most fractional integer variable within the highest fractional priority
 /// class, or -1 if the engine's current point is integral.
-int pick_branch_var(const Model& model, const lp::Simplex& engine, double int_tol) {
+int pick_branch_var(const Model& model, const lp::Simplex& engine) {
   int best = -1;
   int best_prio = 0;
   double best_frac = 0.0;
@@ -83,7 +82,7 @@ int pick_branch_var(const Model& model, const lp::Simplex& engine, double int_to
     if (!model.is_integer(j)) continue;
     const double v = engine.value(j);
     const double frac = std::abs(v - std::round(v));
-    if (frac <= int_tol) continue;
+    if (frac <= kIntTol) continue;
     const int prio = model.priority(j);
     if (best < 0 || prio > best_prio || (prio == best_prio && frac > best_frac)) {
       best = j;
@@ -191,10 +190,10 @@ struct SearchConfig {
   std::int64_t start_ns = 0;
 };
 
-double cutoff_of(const SearchState& st, const MipOptions& opt) {
+double cutoff_of(const SearchState& st) {
   const double inc = st.incumbent_obj.load(std::memory_order_relaxed);
   if (!std::isfinite(inc)) return kInf;
-  return inc - std::max(opt.abs_gap, opt.rel_gap * std::abs(inc));
+  return inc - std::max(kAbsGap, kRelGap * std::abs(inc));
 }
 
 /// Publish a candidate point under the incumbent mutex; returns true (and
@@ -281,7 +280,6 @@ void record_root(lp::Simplex& engine, lp::SolveStatus s, const SearchConfig& cfg
   const double incumbent = st.incumbent_obj.load(std::memory_order_relaxed);
   if (!std::isfinite(incumbent) || s != lp::SolveStatus::kOptimal) return;
   const double slack = incumbent - st.root_bound;
-  int fixed = 0;
   for (int j = 0; j < model.num_vars(); ++j) {
     if (!model.is_integer(j)) continue;
     const double lo = engine.bound_lo(j);
@@ -296,10 +294,6 @@ void record_root(lp::Simplex& engine, lp::SolveStatus s, const SearchConfig& cfg
     st.root_lo[static_cast<std::size_t>(j)] = fix;
     st.root_hi[static_cast<std::size_t>(j)] = fix;
     if (aud != nullptr) aud->root_fixings.push_back({j, at_lower, fix, fix});
-    ++fixed;
-  }
-  if (cfg.opt->verbose && fixed > 0) {
-    std::printf("[bnb] reduced-cost fixing froze %d integer variable(s) at the root\n", fixed);
   }
 }
 
@@ -420,7 +414,7 @@ void worker_main(const SearchConfig& cfg, SearchState& st, AuditShard& shard, in
       // then skipped.
       const bool warm = on_path(es, cur.path);
       if (warm) warm_goto(*engine, es, cur.path);
-      if (cur.parent_bound >= cutoff_of(st, opt)) {
+      if (cur.parent_bound >= cutoff_of(st)) {
         // The parent's bound already clears the cutoff: the subtree is never
         // solved (kSkippedParentBound replays against the parent's recorded
         // bound) and does not count as a node.
@@ -454,7 +448,7 @@ void worker_main(const SearchConfig& cfg, SearchState& st, AuditShard& shard, in
                                            1e-5 * (1.0 + std::abs(cur.parent_bound)),
                          "child LP bound better than its parent node's");
             bool closed = false;
-            if (node.bound >= cutoff_of(st, opt)) {
+            if (node.bound >= cutoff_of(st)) {
               node.disp = NodeDisp::kPrunedBound;
               closed = true;
             }
@@ -463,20 +457,20 @@ void worker_main(const SearchConfig& cfg, SearchState& st, AuditShard& shard, in
               // and close this node when it matches the LP bound.
               std::vector<double> candidate;
               if (opt.completion(engine->solution(), &candidate) &&
-                  model.is_mip_feasible(candidate, std::max(1e-5, opt.int_tol))) {
+                  model.is_mip_feasible(candidate, std::max(1e-5, kIntTol))) {
                 const double cand_obj = model.lp().objective_value(candidate);
                 node.has_completion = true;
                 node.completion_obj = cand_obj;
                 promote(cand_obj, std::move(candidate), node);
                 if (cand_obj <=
-                    node.bound + std::max(opt.abs_gap, opt.rel_gap * std::abs(cand_obj))) {
+                    node.bound + std::max(kAbsGap, kRelGap * std::abs(cand_obj))) {
                   node.disp = NodeDisp::kCompletionClosed;
                   closed = true;
                 }
               }
             }
             if (!closed) {
-              const int bv = pick_branch_var(model, *engine, opt.int_tol);
+              const int bv = pick_branch_var(model, *engine);
               if (bv < 0) {
                 // Integral point: round and promote to incumbent.
                 std::vector<double> x = engine->solution();
@@ -486,7 +480,7 @@ void worker_main(const SearchConfig& cfg, SearchState& st, AuditShard& shard, in
                     x[ju] = std::round(x[ju]);
                   }
                 }
-                if (model.is_mip_feasible(x, std::max(1e-5, opt.int_tol))) {
+                if (model.is_mip_feasible(x, std::max(1e-5, kIntTol))) {
                   promote(node.bound, std::move(x), node);
                 }
                 node.disp = NodeDisp::kIntegral;
@@ -571,9 +565,6 @@ void worker_main(const SearchConfig& cfg, SearchState& st, AuditShard& shard, in
         local.pop_back();
         working = true;
       }
-      if (opt.verbose && node_count > 0 && node_count % 5000 == 0) {
-        std::printf("[bnb] nodes=%lld\n", static_cast<long long>(node_count));
-      }
     }
     ND_ASSERT(local.empty(), "worker subtree ended with live local subproblems");
     busy_ns += obs::now_ns() - subtree_start_ns;
@@ -622,12 +613,7 @@ MipResult solve(const Model& model, const MipOptions& opt) {
   MipResult res;
 
   AuditLog* aud = opt.audit;
-  if (aud != nullptr) {
-    *aud = AuditLog{};
-    aud->int_tol = opt.int_tol;
-    aud->abs_gap = opt.abs_gap;
-    aud->rel_gap = opt.rel_gap;
-  }
+  if (aud != nullptr) *aud = AuditLog{};
 
   SearchConfig cfg;
   cfg.model = &model;
@@ -660,7 +646,7 @@ MipResult solve(const Model& model, const MipOptions& opt) {
   }
   // Seed the incumbent from the warm start if it validates.
   if (opt.warm_start != nullptr &&
-      model.is_mip_feasible(*opt.warm_start, std::max(1e-6, opt.int_tol))) {
+      model.is_mip_feasible(*opt.warm_start, std::max(1e-6, kIntTol))) {
     st.incumbent_x = *opt.warm_start;
     st.incumbent_obj.store(model.lp().objective_value(*opt.warm_start));
     st.have_incumbent = true;

@@ -1,7 +1,6 @@
 #include "milp/presolve.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -75,13 +74,6 @@ MipResult detail::solve_presolved(const Model& model, const MipOptions& opt) {
     pm = presolve_model(model, opt.instance_reductions);
   }
   if (opt.telemetry) emit_presolve_counters(pm.map.stats, pm.rounds);
-  if (opt.verbose && !pm.map.identity()) {
-    std::printf(
-        "[bnb] presolve: -%d rows -%d cols (%d pinned) -%lld nonzeros, "
-        "%d fixings, %d rounds\n",
-        pm.map.stats.rows_removed, pm.map.stats.cols_removed, pm.map.stats.cols_pinned,
-        pm.map.stats.nonzeros_removed, pm.map.stats.fixings, pm.rounds);
-  }
 
   AuditLog* aud = opt.audit;
 
@@ -101,9 +93,6 @@ MipResult detail::solve_presolved(const Model& model, const MipOptions& opt) {
     res.seconds = clock.seconds();
     if (aud != nullptr) {
       *aud = AuditLog{};
-      aud->int_tol = opt.int_tol;
-      aud->abs_gap = opt.abs_gap;
-      aud->rel_gap = opt.rel_gap;
       aud->status = res.status;
       aud->root_bound = res.best_bound;
       aud->best_bound = res.best_bound;
@@ -132,9 +121,6 @@ MipResult detail::solve_presolved(const Model& model, const MipOptions& opt) {
     res.seconds = clock.seconds();
     if (aud != nullptr) {
       *aud = AuditLog{};
-      aud->int_tol = opt.int_tol;
-      aud->abs_gap = opt.abs_gap;
-      aud->rel_gap = opt.rel_gap;
       aud->status = res.status;
       aud->root_cert = cert;
       aud->root_bound = feasible ? 0.0 : std::numeric_limits<double>::infinity();
@@ -162,7 +148,7 @@ MipResult detail::solve_presolved(const Model& model, const MipOptions& opt) {
     if (x_orig.size() != n_orig) return false;
     for (std::size_t j = 0; j < n_orig; ++j) {
       if (pm.map.red_of_var[j] >= 0) continue;
-      if (std::abs(x_orig[j] - pm.map.fixed_value[j]) > opt.int_tol) return false;
+      if (std::abs(x_orig[j] - pm.map.fixed_value[j]) > kIntTol) return false;
     }
     x_red->resize(n_red);
     for (std::size_t j = 0; j < n_red; ++j) {

@@ -17,6 +17,7 @@
 #include "analysis/crosscheck.hpp"
 #include "analysis/diagnostics.hpp"
 #include "lp/certificate.hpp"
+#include "lp/simplex.hpp"
 #include "lp/problem.hpp"
 #include "milp/audit.hpp"
 #include "milp/branch_and_bound.hpp"
@@ -42,10 +43,17 @@ nd::lp::Problem simple_lp() {
   return p;
 }
 
+/// Cold solve on a fresh engine and the certificate of its verdict.
+nd::lp::Certificate certificate_of(const nd::lp::Problem& p) {
+  nd::lp::Simplex engine(p);
+  (void)engine.solve();
+  return engine.extract_certificate();
+}
+
 nd::lp::Certificate solved_cert(const nd::lp::Problem& p) {
-  const auto res = nd::lp::solve_lp_certified(p);
-  EXPECT_EQ(res.cert.status, nd::lp::SolveStatus::kOptimal);
-  return res.cert;
+  const nd::lp::Certificate cert = certificate_of(p);
+  EXPECT_EQ(cert.status, nd::lp::SolveStatus::kOptimal);
+  return cert;
 }
 
 TEST(CertifyLp, AcceptsGenuineCertificate) {
@@ -111,10 +119,10 @@ TEST(CertifyLp, AcceptsGenuineFarkasRay) {
   nd::lp::Problem p;
   p.add_var(0.0, 1.0, 1.0, "x0");
   p.add_row({{0, 1.0}}, Sense::GE, 2.0);  // x0 >= 2 with x0 <= 1: infeasible
-  const auto res = nd::lp::solve_lp_certified(p);
-  ASSERT_EQ(res.cert.status, nd::lp::SolveStatus::kInfeasible);
-  ASSERT_TRUE(res.cert.has_farkas_ray());
-  const Report rep = nd::analysis::certify_lp(p, res.cert);
+  const nd::lp::Certificate cert = certificate_of(p);
+  ASSERT_EQ(cert.status, nd::lp::SolveStatus::kInfeasible);
+  ASSERT_TRUE(cert.has_farkas_ray());
+  const Report rep = nd::analysis::certify_lp(p, cert);
   EXPECT_EQ(rep.num_errors(), 0) << rep.to_table();
 }
 
@@ -122,7 +130,7 @@ TEST(CertifyLp, RejectsBogusFarkasRay) {
   nd::lp::Problem p;
   p.add_var(0.0, 1.0, 1.0, "x0");
   p.add_row({{0, 1.0}}, Sense::GE, 2.0);
-  auto cert = nd::lp::solve_lp_certified(p).cert;
+  auto cert = certificate_of(p);
   // A zero ray proves nothing: the certified gap collapses to 0.
   std::fill(cert.farkas.begin(), cert.farkas.end(), 0.0);
   const Report rep = nd::analysis::certify_lp(p, cert);

@@ -201,48 +201,40 @@ TEST(Validate, CatchesMissingDuplicate) {
   }
   const auto res = nd::deploy::validate(*p, s);
   EXPECT_FALSE(res.ok());
-  EXPECT_NE(res.summary().find("duplicate"), std::string::npos);
+  EXPECT_NE(res.summary().find("no duplicate"), std::string::npos) << res.summary();
 }
 
-TEST(Validate, RelaxedDuplicationModeToleratesExtraCopies) {
+TEST(Validate, CatchesUnnecessaryDuplicate) {
+  // Eq. (4) is an equivalence: a copy of a task whose reliability already
+  // meets R_th is a violation too.
   auto p = chain_problem();
   DeploymentSolution s = chain_solution_colocated(*p);
-  // Add an unnecessary duplicate of task 0 (reliability already fine).
   s.exists[2] = 1;
   s.level[2] = 5;
   s.proc[2] = 1;
   s.start[2] = 0.0;
   s.end[2] = p->vf().exec_time(1'000'000'000ull, 5);
-  nd::deploy::ValidationOptions strict;
-  EXPECT_FALSE(nd::deploy::validate(*p, s, strict).ok());
-  nd::deploy::ValidationOptions relaxed;
-  relaxed.enforce_duplication_equivalence = false;
-  // Still must respect schedule constraints; copy 2 sends data to task 1.
-  const auto res = nd::deploy::validate(*p, s, relaxed);
-  // The copy's output to task 1 adds comm time → precedence may fail; accept
-  // either, but the duplication complaint itself must be gone.
-  for (const auto& v : res.violations) {
-    EXPECT_EQ(v.find("duplicate exists"), std::string::npos) << v;
-  }
+  const auto res = nd::deploy::validate(*p, s);
+  EXPECT_FALSE(res.ok());
+  EXPECT_NE(res.summary().find("duplicate exists"), std::string::npos) << res.summary();
 }
 
 TEST(Validate, BoundaryTimesWithinToleranceAccepted) {
   // Times that graze the limits by less than the tolerance must pass; the
   // same perturbation scaled past the tolerance must fail. This pins the
-  // tol + rel_tol·H semantics of the time comparisons.
+  // kTimeTol + kTimeRelTol·H semantics of the time comparisons.
   auto p = chain_problem();
   const double t = p->vf().exec_time(1'000'000'000ull, 0);
   p->set_horizon(2 * t);  // the schedule now ends exactly at H
-  nd::deploy::ValidationOptions opt;
-  const double tol = opt.tol + opt.rel_tol * p->horizon();
+  const double tol = nd::deploy::kTimeTol + nd::deploy::kTimeRelTol * p->horizon();
 
   DeploymentSolution s = chain_solution_colocated(*p);
   s.end[1] += 0.4 * tol;  // past H, but within tolerance
-  EXPECT_TRUE(nd::deploy::validate(*p, s, opt).ok());
+  EXPECT_TRUE(nd::deploy::validate(*p, s).ok());
 
   s = chain_solution_colocated(*p);
   s.end[1] += 3.0 * tol;  // past H by more than the tolerance
-  const auto res = nd::deploy::validate(*p, s, opt);
+  const auto res = nd::deploy::validate(*p, s);
   EXPECT_FALSE(res.ok());
   EXPECT_NE(res.summary().find("horizon"), std::string::npos) << res.summary();
 
@@ -252,36 +244,12 @@ TEST(Validate, BoundaryTimesWithinToleranceAccepted) {
   s.end[0] -= 0.4 * tol;
   s.start[1] -= 0.4 * tol;
   s.end[1] -= 0.4 * tol;
-  EXPECT_TRUE(nd::deploy::validate(*p, s, opt).ok());
+  EXPECT_TRUE(nd::deploy::validate(*p, s).ok());
   s.start[0] -= 3.0 * tol;
   s.end[0] -= 3.0 * tol;
-  const auto res2 = nd::deploy::validate(*p, s, opt);
+  const auto res2 = nd::deploy::validate(*p, s);
   EXPECT_FALSE(res2.ok());
   EXPECT_NE(res2.summary().find("before 0"), std::string::npos) << res2.summary();
-}
-
-TEST(Validate, RelaxedModeStillRequiresMandatoryDuplicate) {
-  // enforce_duplication_equivalence=false only waives the "no unnecessary
-  // copies" direction — a reliability shortfall still demands a duplicate.
-  auto spec = TinySpec{};
-  spec.lambda0 = 1e-2;
-  spec.num_tasks = 2;
-  spec.alpha = 10.0;
-  auto p = tiny_problem(spec);
-  DeploymentSolution s = nd::deploy::DeploymentSolution::empty(*p);
-  double t_acc = 0.0;
-  for (int i = 0; i < p->num_tasks(); ++i) {
-    s.level[static_cast<std::size_t>(i)] = 0;
-    s.proc[static_cast<std::size_t>(i)] = 0;
-    s.start[static_cast<std::size_t>(i)] = t_acc;
-    t_acc += nd::deploy::comp_time(*p, s, i);
-    s.end[static_cast<std::size_t>(i)] = t_acc;
-  }
-  nd::deploy::ValidationOptions relaxed;
-  relaxed.enforce_duplication_equivalence = false;
-  const auto res = nd::deploy::validate(*p, s, relaxed);
-  EXPECT_FALSE(res.ok());
-  EXPECT_NE(res.summary().find("no duplicate"), std::string::npos) << res.summary();
 }
 
 TEST(Validate, MutationMatrixNamesEachConstraint) {

@@ -23,6 +23,7 @@
 #include "deploy/evaluate.hpp"
 #include "heuristic/phases.hpp"
 #include "lp/certificate.hpp"
+#include "lp/simplex.hpp"
 #include "milp/audit.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "milp/model.hpp"
@@ -156,10 +157,17 @@ nd::lp::Problem simple_lp() {
   return p;
 }
 
+/// Cold solve on a fresh engine and the certificate of its verdict.
+nd::lp::Certificate certificate_of(const nd::lp::Problem& p) {
+  nd::lp::Simplex engine(p);
+  (void)engine.solve();
+  return engine.extract_certificate();
+}
+
 nd::lp::Certificate solved_cert(const nd::lp::Problem& p) {
-  const auto res = nd::lp::solve_lp_certified(p);
-  EXPECT_EQ(res.cert.status, nd::lp::SolveStatus::kOptimal);
-  return res.cert;
+  const nd::lp::Certificate cert = certificate_of(p);
+  EXPECT_EQ(cert.status, nd::lp::SolveStatus::kOptimal);
+  return cert;
 }
 
 TEST(ExactLp, AcceptsGenuineCertificateExactly) {
@@ -228,7 +236,7 @@ TEST(ExactLp, RejectsZeroedFarkasRay) {
   nd::lp::Problem p;
   p.add_var(0.0, 1.0, 1.0, "x0");
   p.add_row({{0, 1.0}}, Sense::GE, 2.0);  // unreachable: x0 <= 1
-  auto cert = nd::lp::solve_lp_certified(p).cert;
+  auto cert = certificate_of(p);
   ASSERT_EQ(cert.status, nd::lp::SolveStatus::kInfeasible);
   EXPECT_TRUE(nd::analysis::certify_lp_exact(p, cert).farkas_proved);
   std::fill(cert.farkas.begin(), cert.farkas.end(), 0.0);

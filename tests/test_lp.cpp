@@ -5,7 +5,10 @@
 #include <cmath>
 #include <vector>
 
+#include "analysis/certify_lp.hpp"
+#include "analysis/exact/certify_lp_exact.hpp"
 #include "common/prng.hpp"
+#include "lp/certificate.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 
@@ -193,6 +196,27 @@ TEST(Simplex, FixedVariables) {
   ASSERT_EQ(res.status, SolveStatus::kOptimal);
   EXPECT_NEAR(res.obj, 5.0, 1e-8);
   EXPECT_NEAR(res.x[0], 2.0, 1e-9);
+}
+
+// A pinned column, an empty column and a redundant row reach the engine
+// as they are (the one-shot solve does no presolve); the optimum and its
+// certificate must prove out in float and in exact arithmetic.
+TEST(Simplex, PinnedEmptyColumnAndRedundantRowCertify) {
+  Problem p;
+  const int x = p.add_var(2, 2, 1.0, "x");    // pinned
+  const int y = p.add_var(0, 10, 1.0, "y");
+  (void)p.add_var(-1, 4, -0.5, "e");          // in no row: ends at its upper bound
+  p.add_row({{x, 1.0}, {y, 1.0}}, Sense::GE, 5.0);
+  p.add_row({{x, 1.0}, {y, 1.0}}, Sense::LE, 100.0);  // activity never exceeds 12
+  Simplex engine(p);
+  ASSERT_EQ(engine.solve(), SolveStatus::kOptimal);
+  EXPECT_NEAR(engine.objective(), 3.0, 1e-9);  // x = 2, y = 3, e = 4
+  const nd::lp::Certificate cert = engine.extract_certificate();
+  const auto rep = nd::analysis::certify_lp(p, cert);
+  EXPECT_EQ(rep.num_errors(), 0) << rep.to_table();
+  const auto exact = nd::analysis::certify_lp_exact(p, cert);
+  EXPECT_TRUE(exact.accepted()) << exact.report.to_table();
+  EXPECT_TRUE(exact.exactly_optimal);
 }
 
 TEST(Simplex, DegenerateVertexTerminates) {

@@ -24,8 +24,10 @@
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 #include "lp/sparse.hpp"
+#include "milp/audit.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "milp/model.hpp"
+#include "milp/presolve.hpp"
 #include "model/formulation.hpp"
 #include "obs/obs.hpp"
 #include "task/generator.hpp"
@@ -488,6 +490,67 @@ TEST(DualLoop, RefactorizationsDoNotOutnumberPivots) {
   EXPECT_EQ(res.nodes, 341);  // the budget is spent: the storm sat inside it
   EXPECT_GT(pivots, 0);
   EXPECT_LE(refactors, pivots);
+}
+
+// Phase 1 used to accept a basis whose artificials SUMMED to at most tol·m.
+// On this 5-task 2x2 instance (`gen --tasks 5 --rows 2 --cols 2 --alpha 2.0
+// --seed 6`, m = 871) a single artificial could stay basic at ~7e-5 —
+// accepted — and phase 2 then reported kOptimal at a point violating its row,
+// which let a child's bound beat its parent's in the 2-worker tree. Every
+// node LP of the first 60 nodes of the 1-worker tree (the first such node is
+// node 25), re-solved cold, must either be certified optimal or not claim
+// optimality.
+TEST(PhaseOne, ColdNodeSolvesNeverClaimAnUncertifiableOptimum) {
+  nd::Prng prng(6);
+  nd::task::GenParams gen;
+  gen.num_tasks = 5;
+  gen.width = 2;
+  nd::noc::MeshParams mesh;
+  mesh.rows = mesh.cols = 2;
+  mesh.seed = 6 + 7777;
+  nd::deploy::DeploymentProblem p(nd::task::generate_layered(prng, gen), mesh,
+                                  nd::dvfs::VfTable::typical6(),
+                                  nd::reliability::FaultParams{2e-5, 3.0}, 0.995, 1.0);
+  p.set_horizon(p.horizon_for_alpha(2.0));
+  const nd::model::Formulation f(p);
+  const auto warm = nd::heuristic::solve_heuristic(p);
+  ASSERT_TRUE(warm.feasible);
+  const std::vector<double> warm_point = f.encode(warm.solution);
+  nd::analysis::InstancePresolveOptions iopt;
+  iopt.warm = &warm_point;
+  const auto ipre = nd::analysis::instance_reductions(f, iopt);
+  nd::milp::AuditLog audit;
+  MipOptions opt;
+  opt.node_limit = 60;
+  opt.warm_start = &warm_point;
+  opt.instance_reductions = &ipre.log;
+  opt.completion = [&f](const std::vector<double>& lp_point, std::vector<double>* out) {
+    return f.complete(lp_point, out);
+  };
+  opt.audit = &audit;
+  (void)nd::milp::solve(f.model(), opt);
+  ASSERT_TRUE(audit.presolved);
+
+  const nd::lp::PresolvedLp map = nd::lp::apply_reductions(f.model().lp(), audit.reductions);
+  const Model reduced = nd::milp::reduced_model(f.model(), map);
+  Simplex::Options sopt;
+  sopt.pricing = nd::lp::Pricing::kDantzig;  // the pricing the tree search pins
+  int optimal = 0;
+  for (const nd::milp::AuditNode& n : audit.nodes) {
+    if (!n.lp_solved) continue;
+    Problem q = reduced.lp();
+    const auto dom = nd::milp::node_domain(reduced, audit, n.id);
+    for (int j = 0; j < q.num_vars(); ++j) {
+      q.set_var_bounds(j, dom[static_cast<std::size_t>(j)].first,
+                       dom[static_cast<std::size_t>(j)].second);
+    }
+    Simplex engine(q, sopt);
+    if (engine.solve() != SolveStatus::kOptimal) continue;
+    ++optimal;
+    const auto rep = nd::analysis::certify_lp(q, engine.extract_certificate());
+    EXPECT_EQ(rep.num_errors(), 0) << "node " << n.id << "\n" << rep.to_table();
+  }
+  EXPECT_GT(optimal, 0);
 }
 
 }  // namespace
