@@ -204,6 +204,41 @@ TEST(Validate, CatchesMissingDuplicate) {
   EXPECT_NE(res.summary().find("no duplicate"), std::string::npos) << res.summary();
 }
 
+TEST(Validate, RelaxedModeStillRequiresMandatoryDuplicate) {
+  // Eq. (4) is checked task by task: a copy of task 0 does not stand in for
+  // the mandatory copy of task 1. (The name dates from a since-removed mode
+  // that waived only the "no unnecessary copies" direction of eq. (4).)
+  auto spec = TinySpec{};
+  spec.lambda0 = 1e-2;
+  spec.num_tasks = 2;
+  spec.alpha = 10.0;
+  auto p = tiny_problem(spec);
+  DeploymentSolution s = nd::deploy::DeploymentSolution::empty(*p);
+  double t_acc = 0.0;
+  for (int i = 0; i < p->num_tasks(); ++i) {
+    s.level[static_cast<std::size_t>(i)] = 0;
+    s.proc[static_cast<std::size_t>(i)] = 0;
+    s.start[static_cast<std::size_t>(i)] = t_acc;
+    t_acc += nd::deploy::comp_time(*p, s, i);
+    s.end[static_cast<std::size_t>(i)] = t_acc;
+  }
+  const auto d0 = static_cast<std::size_t>(p->num_tasks());  // copy of task 0
+  s.exists[d0] = 1;
+  s.level[d0] = 0;
+  s.proc[d0] = 1;
+  s.start[d0] = 0.0;
+  s.end[d0] = nd::deploy::comp_time(*p, s, static_cast<int>(d0));
+  const auto res = nd::deploy::validate(*p, s);
+  EXPECT_FALSE(res.ok());
+  bool task1_flagged = false;
+  for (const auto& v : res.violations) {
+    if (v.find("no duplicate") == std::string::npos) continue;
+    EXPECT_EQ(v.rfind("task 0 ", 0), std::string::npos) << v;
+    if (v.rfind("task 1 ", 0) == 0) task1_flagged = true;
+  }
+  EXPECT_TRUE(task1_flagged) << res.summary();
+}
+
 TEST(Validate, CatchesUnnecessaryDuplicate) {
   // Eq. (4) is an equivalence: a copy of a task whose reliability already
   // meets R_th is a violation too.
